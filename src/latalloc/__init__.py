@@ -15,11 +15,9 @@ from .instances import (GeneratorSpec, InstanceFormatError, generate_base,
 from .kkt import (RestrictedResult, solve_constant_latency, solve_identical,
                   solve_restricted)
 from .model import (Allocation, ConstantLatency, Instance, LatencyFamily,
-                    PowerLatency, ResourceGroup, gamma, marginal_g,
-                    marginal_g_inverse)
+                    PowerLatency, ResourceGroup, gamma)
 from .oracle import brute_force_optimum, numeric_relaxation
-from .relax import (DualResult, continuous_relaxation_bound,
-                    fixed_charge_activations, ordering_algorithm)
+from .relax import DualResult, continuous_relaxation_bound, ordering_algorithm
 
 __version__ = "0.1.0"
 
@@ -40,12 +38,9 @@ __all__ = [
     "branch_children",
     "brute_force_optimum",
     "continuous_relaxation_bound",
-    "fixed_charge_activations",
     "gamma",
     "generate_base",
     "generate_random",
-    "marginal_g",
-    "marginal_g_inverse",
     "numeric_relaxation",
     "ordering_algorithm",
     "partition_reduction",

@@ -59,6 +59,12 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Search settings.
+
+    ``node_limit`` caps created nodes (the root plus every child pushed by
+    branching, as counted in ``SolveStats.nodes``), not evaluated ones.
+    """
+
     branching: str = "nary"          # "nary" | "binary"
     node_limit: int | None = None
     time_limit: float | None = None  # seconds

@@ -3,8 +3,8 @@
 Once the set of activated copies is chosen, splitting the unit of demand is a
 convex program whose stationarity conditions equalize the load-cost marginals
 across used copies at a common level lam.  For a shared power exponent the
-level has a closed form; mixed exponents fall back to a bisection on the
-monotone map lam -> sum of marginal inverses.
+level has a closed form; mixed exponents bisect for it with the same
+water-level kernel that solves the priced relaxation.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Allocation, ConstantLatency, Instance
-
-# Absolute tolerance of the lambda bisection for mixed-exponent active sets.
-LAMBDA_TOL = 1e-12
+from .relax import _ginv, _water_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,24 +53,9 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
         lam = denom ** (-pe)
         x_act = lam ** (1.0 / pe) * w
     else:
-        # lam-bisection: sum_g k_g * g_inv(lam) is continuous and increasing.
-        fams = [instance.groups[g].latency for g in np.flatnonzero(active)]
-
-        def phi(lam_):
-            return sum(kk * fam.marginal_inverse(lam_) for kk, fam in zip(k, fams))
-
-        hi = max(fam.marginal(1.0) for fam in fams) * max(1.0, float(k.sum()))
-        while phi(hi) < 1.0:
-            hi *= 2.0
-        lo = 0.0
-        while hi - lo > LAMBDA_TOL:
-            mid = 0.5 * (lo + hi)
-            if phi(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        x_act = np.array([fam.marginal_inverse(lam) for fam in fams])
+        # every active copy of group g carries g_inv(lam), so group g counts k_g times
+        lam = _water_level(0.0, b, p, weight=k)
+        x_act = _ginv(lam, b, p)
         # remove the bisection residual from the simplex constraint
         x_act *= 1.0 / float(k @ x_act)
 

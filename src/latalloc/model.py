@@ -11,6 +11,7 @@ latency families expose it and its inverse directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,18 +19,16 @@ import numpy as np
 
 # Feasibility tolerance on an allocation's total fraction.
 SUM_TOL = 1e-9
-# Absolute tolerance of the bracketing bisection used for marginal inverses.
-BISECT_TOL = 1e-12
 
 
 class LatencyFamily:
     """Per-unit latency f of a resource as a function of its load.
 
-    Subclasses supply ``f`` and ``marginal`` (the derivative of z * f(z),
-    strictly increasing from 0).  ``marginal_inverse`` has a generic
-    bracketing-bisection fallback, so a user-defined monotone family only
-    needs the two forward maps; families with a closed-form inverse override
-    it.
+    Subclasses supply ``f``, ``marginal`` (the derivative of z * f(z),
+    strictly increasing from 0) and ``marginal_inverse``.  The solvers take
+    power families, and instances of constant families only go through
+    ``solve_constant_latency``; any other subclass serves ``gamma`` and
+    ``Allocation`` only.
     """
 
     def f(self, z):
@@ -40,22 +39,8 @@ class LatencyFamily:
         raise NotImplementedError
 
     def marginal_inverse(self, t):
-        # Nonpositive marginal value means the resource receives no load.
-        if t <= 0.0:
-            return 0.0
-        hi = 1.0
-        for _ in range(200):
-            if self.marginal(hi) >= t:
-                break
-            hi *= 2.0
-        lo = 0.0
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.marginal(mid) < t:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """Load at which the marginal reaches t; 0 for t <= 0."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -66,10 +51,10 @@ class PowerLatency(LatencyFamily):
     p: float = 1.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"power latency needs b > 0, got {self.b}")
-        if not self.p >= 1:
-            raise ValueError(f"power latency needs p >= 1, got {self.p}")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"power latency needs finite b > 0, got {self.b}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"power latency needs finite p >= 1, got {self.p}")
 
     def f(self, z):
         return self.b * z ** self.p
@@ -97,8 +82,8 @@ class ConstantLatency(LatencyFamily):
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"constant latency must be >= 0, got {self.value}")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"constant latency must be finite and >= 0, got {self.value}")
 
     def f(self, z):
         return self.value
@@ -119,8 +104,8 @@ class ResourceGroup:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if self.fixed_cost < 0:
-            raise ValueError(f"fixed cost must be >= 0, got {self.fixed_cost}")
+        if not (math.isfinite(self.fixed_cost) and self.fixed_cost >= 0):
+            raise ValueError(f"fixed cost must be finite and >= 0, got {self.fixed_cost}")
         if not isinstance(self.multiplicity, (int, np.integer)) or self.multiplicity < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {self.multiplicity}")
         if not isinstance(self.latency, LatencyFamily):
@@ -134,16 +119,6 @@ def gamma(group: ResourceGroup, x: float) -> float:
     if x == 0.0:
         return 0.0
     return group.fixed_cost + x * group.latency.f(x)
-
-
-def marginal_g(family: LatencyFamily, z: float) -> float:
-    """Marginal of the load cost, d/dz [z * f(z)].  Errors on constant families and z < 0."""
-    return family.marginal(z)
-
-
-def marginal_g_inverse(family: LatencyFamily, t: float) -> float:
-    """Load at which the marginal reaches t; 0 for t <= 0 (complementary slackness clamp)."""
-    return family.marginal_inverse(t)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ available copies by kappa ascending turns the search for lam into a scan over
 prefix lengths h: the prefix is correct exactly when the level computed from
 it lands in the window kappa_h < lam <= kappa_{h+1}.  With linear latencies
 and running prefix sums the scan costs O(1) per candidate after the single
-sort; other exponents bisect per candidate.
+sort.  Other exponents skip the scan: one bisection on lam over all
+available copies (``_water_level``) finds the clamped level directly, and the
+restricted solves in ``kkt`` reuse the same kernel for mixed exponents.
 
 Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
 the same machinery a node bound for branch and bound; at the root this equals
@@ -71,39 +73,29 @@ def _scan_linear(kap_s, b_s):
     return e + 1, float(lam_all[e])
 
 
-def _scan_general(kap_s, b_s, p_s):
-    """Per-candidate bisection scan for arbitrary exponents; returns (h, lam) or None."""
-    m = kap_s.size
-    for e in _block_ends(kap_s):
-        h = e + 1
-        kap_h = kap_s[:h]
-        b_h = b_s[:h]
-        p_h = p_s[:h]
+def _water_level(kap, b, p, weight=1.0):
+    """Level lam at which sum weight * ginv(lam - kap) over all copies reaches 1.
 
-        def phi(lam_):
-            return float(_ginv(lam_ - kap_h, b_h, p_h).sum())
-
-        lo = float(kap_s[e])
-        if phi(lo) >= 1.0:
-            # the level for this and every later prefix sits at or below
-            # kappa_h, so no further candidate can open its window
-            break
-        hi = lo + float((b_h * (1.0 + p_h)).max())
-        while phi(hi) < 1.0:
-            hi *= 2.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if phi(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        if lam <= kap_s[e] + WINDOW_TOL:
-            continue
-        if e + 1 < m and lam > kap_s[e + 1] + WINDOW_TOL:
-            continue
-        return h, lam
-    return None
+    The sum is continuous and nondecreasing in lam, zero at min kap, and at
+    least 1 at min kap + max b(1+p), where the cheapest copy alone carries a
+    full unit (every weight is >= 1).  Bisection on that bracket runs until
+    the midpoint no longer lies strictly between the ends, i.e. to float
+    resolution; an absolute width would be finer than the float spacing once
+    lam is large and would never be reached.  Returns the upper end.
+    """
+    curve = b * (1.0 + p)
+    lo = float(np.min(kap))
+    hi = lo + float(np.max(curve))
+    scale = 1.0 / curve
+    root = 1.0 / p
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if float((weight * (np.maximum(mid - kap, 0.0) * scale) ** root).sum()) < 1.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _solve_relaxation(instance: Instance, kappa, avail_mask):
@@ -133,29 +125,12 @@ def _solve_relaxation(instance: Instance, kappa, avail_mask):
     b_s = b[order]
     p_s = p[order]
 
-    if np.all(p_s == 1.0):
-        hit = _scan_linear(kap_s, b_s)
-    else:
-        hit = _scan_general(kap_s, b_s, p_s)
-
+    hit = _scan_linear(kap_s, b_s) if np.all(p_s == 1.0) else None
     if hit is None:
-        # numerically degenerate window boundaries: fall back to the clamped
-        # fixed point over the full available set, which always exists
-        lo = float(kap_s.min())
-        hi = float(kap_s.max() + (b_s * (1.0 + p_s)).max())
-
-        def phi_full(lam_):
-            return float(_ginv(lam_ - kap_s, b_s, p_s).sum())
-
-        while phi_full(hi) < 1.0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if phi_full(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        h, lam = kap_s.size, 0.5 * (lo + hi)
+        # other exponents, or numerically degenerate linear windows: the
+        # clamped level over the whole available set zeroes every copy priced
+        # at or above it
+        h, lam = kap_s.size, _water_level(kap_s, b_s, p_s)
     else:
         h, lam = hit
 
@@ -221,17 +196,3 @@ def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -
     bound = obj + float(instance.copy_fixed_cost[on_idx].sum())
     return DualResult(lam=float(lam), support=support, x=x, bound=bound, h=len(support))
 
-
-def fixed_charge_activations(fixed_costs, multipliers) -> np.ndarray:
-    """Activation pattern minimizing the priced fixed-charge term sum (c_i - kappa_i) y_i.
-
-    Kept for completeness of the dual picture: y_i = 1 exactly when the price
-    overshoots the true charge (c_i < kappa_i).  At prices equal to the fixed
-    costs the term vanishes for every pattern, which is why the relaxation
-    solvers above never need to materialize it.
-    """
-    c = np.asarray(fixed_costs, dtype=float)
-    kap = np.asarray(multipliers, dtype=float)
-    if c.shape != kap.shape:
-        raise ValueError("fixed costs and multipliers must have matching shapes")
-    return (c < kap).astype(np.intp)

@@ -1,9 +1,27 @@
 """Shared builders and numeric checks for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import latalloc
 from latalloc import Instance, PowerLatency, ResourceGroup, generate_random
+
+# Wall-clock cap for calls that once looped forever; a regression fails the
+# test through subprocess.TimeoutExpired instead of hanging the whole suite.
+HANG_TIMEOUT_S = 30
+
+
+def run_isolated(args):
+    """Run ``python <args>`` against this latalloc checkout, killed after HANG_TIMEOUT_S."""
+    src = str(Path(latalloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=HANG_TIMEOUT_S)
 
 
 def make_instance(rows, exponent=1.0):

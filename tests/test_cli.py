@@ -11,6 +11,8 @@ import pytest
 from latalloc import generate_base, generate_random, read_instance, solve, write_instance
 from latalloc.cli import CSV_COLUMNS, main
 
+from conftest import run_isolated
+
 
 @pytest.fixture
 def ladder_file(tmp_path):
@@ -71,6 +73,27 @@ class TestSolve:
         path.write_text("not an instance\n")
         assert main(["solve", str(path)]) == 3
         assert "bad header" in capsys.readouterr().err
+
+    def test_nan_fee_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("latalloc 1\n2 1\nnan 1 1\n2 2 1\n")
+        assert main(["solve", str(path)]) == 3
+        assert "line 3: invalid resource" in capsys.readouterr().err
+
+    def test_inf_coefficient_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.txt"
+        path.write_text("latalloc 1\n2 1\n1 1 1\n2 inf 1\n")
+        assert main(["solve", str(path)]) == 3
+        assert "line 4: invalid resource" in capsys.readouterr().err
+
+    def test_large_level_quadratic_file_solves(self, tmp_path):
+        # the relaxation level passes 10 000 on this file; the root bound
+        # once bisected forever there
+        path = tmp_path / "big.txt"
+        path.write_text("latalloc 1\n2 2\n20000 1 1\n10000 5 1\n")
+        proc = run_isolated(["-m", "latalloc.cli", "solve", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert "optimum:           10005" in proc.stdout
 
 
 class TestGenerate:

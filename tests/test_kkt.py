@@ -15,7 +15,7 @@ from latalloc import (
     solve_restricted,
 )
 
-from conftest import assert_kkt, make_instance
+from conftest import assert_kkt, make_instance, run_isolated
 
 
 class TestSolveRestricted:
@@ -50,6 +50,24 @@ class TestSolveRestricted:
         g0 = inst.groups[0].latency.marginal(res.x[0])
         g1 = inst.groups[1].latency.marginal(res.x[1])
         assert g0 == pytest.approx(g1, abs=1e-9)
+
+    def test_mixed_exponents_large_level_returns(self):
+        # lam passes 20 000, where floats are spaced wider than 1e-12; a
+        # bisection stopping on that absolute width never returned
+        code = (
+            "from latalloc import Instance, PowerLatency, ResourceGroup, solve_restricted\n"
+            "inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(20000.0, 1.0)),\n"
+            "                             ResourceGroup(1.0, PowerLatency(30000.0, 2.0))])\n"
+            "res = solve_restricted(inst, [0, 1])\n"
+            "print(res.lam, *res.x)\n"
+        )
+        proc = run_isolated(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        lam, x0, x1 = map(float, proc.stdout.split())
+        assert x0 + x1 == pytest.approx(1.0, abs=1e-12)
+        # both marginals sit at the level
+        assert 40000.0 * x0 == pytest.approx(lam, rel=1e-9)
+        assert 90000.0 * x1 ** 2 == pytest.approx(lam, rel=1e-9)
 
     def test_empty_active_set_rejected(self, ladder3):
         with pytest.raises(ValueError):

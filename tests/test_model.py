@@ -68,20 +68,12 @@ class TestPowerLatency:
         assert f.marginal(z) == pytest.approx(num, rel=1e-4, abs=1e-6)
 
 
-class TestGenericFamilyFallback:
-    class Cubic(LatencyFamily):
-        # f(z) = z^3, total cost z^4, marginal 4 z^3
-        def f(self, z):
-            return z ** 3
-
-        def marginal(self, z):
-            return 4.0 * z ** 3
-
-    def test_numeric_inverse_matches_closed_form(self):
-        fam = self.Cubic()
-        ref = PowerLatency(1.0, 3.0)
-        for t in (0.0, 0.1, 1.0, 3.9):
-            assert fam.marginal_inverse(t) == pytest.approx(ref.marginal_inverse(t), abs=1e-10)
+class TestLatencyFamilyBase:
+    def test_every_map_is_abstract(self):
+        fam = LatencyFamily()
+        for method, arg in ((fam.f, 0.5), (fam.marginal, 0.5), (fam.marginal_inverse, 1.0)):
+            with pytest.raises(NotImplementedError):
+                method(arg)
 
 
 class TestConstantLatency:
@@ -106,6 +98,17 @@ class TestResourceGroup:
             ResourceGroup(1.0, lat, 0)
         g = ResourceGroup(0.0, lat, 3)
         assert g.multiplicity == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceGroup(bad, PowerLatency(1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            PowerLatency(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PowerLatency(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            ConstantLatency(bad)
 
     def test_gamma_frozen(self):
         g = ResourceGroup(2.0, PowerLatency(3.0, 1.0))

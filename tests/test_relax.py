@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 import latalloc.relax as relax
 from latalloc import (
+    Instance,
+    PowerLatency,
+    ResourceGroup,
     continuous_relaxation_bound,
-    fixed_charge_activations,
+    numeric_relaxation,
     ordering_algorithm,
     solve,
 )
 
-from conftest import assert_kkt, make_instance, random_corpus
+from conftest import assert_kkt, make_instance, random_corpus, run_isolated
 
 
 class TestOrderingAlgorithm:
@@ -81,17 +84,22 @@ class TestOrderingAlgorithm:
         res = ordering_algorithm(inst, kap)
         assert_kkt(inst, res.x, res.lam, kappa=kap)
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000),
+           exponents=st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=7, max_size=7))
     @settings(max_examples=60, deadline=None)
-    def test_window_and_kkt_random(self, seed):
+    def test_window_and_kkt_random(self, seed, exponents):
         rng = np.random.Generator(np.random.PCG64(seed))
         n = int(rng.integers(1, 8))
-        rows = [(0.0, float(rng.uniform(0.2, 9.0)) + 0.001 * i) for i in range(n)]
-        inst = make_instance(rows)
+        inst = Instance.from_groups([
+            ResourceGroup(0.0, PowerLatency(float(rng.uniform(0.2, 9.0)) + 0.001 * i,
+                                            exponents[i]))
+            for i in range(n)
+        ])
         # duplicated prices exercise the equal-price blocks
         kap = np.round(rng.uniform(0.0, 3.0, inst.q), 1)
         res = ordering_algorithm(inst, kap)
         assert_kkt(inst, res.x, res.lam, kappa=kap)
+        assert res.bound == pytest.approx(numeric_relaxation(inst, kap), abs=1e-6)
         # support is exactly the copies priced below the level
         for i in range(inst.q):
             if kap[i] < res.lam - 1e-9:
@@ -132,12 +140,17 @@ class TestContinuousRelaxationBound:
                 if inst.q > 1:
                     assert continuous_relaxation_bound(inst, fixed_off=[i]).bound >= root - 1e-9
 
-
-class TestFixedChargeActivations:
-    def test_pattern(self):
-        y = fixed_charge_activations(np.array([3.0, 2.0, 1.0]), np.array([2.0, 2.0, 2.0]))
-        assert list(y) == [0, 0, 1]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fixed_charge_activations(np.array([1.0]), np.array([1.0, 2.0]))
+    def test_large_level_returns(self):
+        # lam passes 10 000 here, where floats are spaced wider than 1e-12; a
+        # bisection stopping on that absolute width never returned
+        code = (
+            "from latalloc import Instance, PowerLatency, ResourceGroup, "
+            "continuous_relaxation_bound\n"
+            "inst = Instance.from_groups([ResourceGroup(20000.0, PowerLatency(1.0, 2.0)),\n"
+            "                             ResourceGroup(10000.0, PowerLatency(5.0, 2.0))])\n"
+            "print(repr(continuous_relaxation_bound(inst).bound))\n"
+        )
+        proc = run_isolated(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        # only the c=10000 group is priced below the level: bound 10000 + 5
+        assert float(proc.stdout) == pytest.approx(10005.0, rel=1e-12)
