@@ -4,9 +4,9 @@ The ordering bound
 
 Dropping the on/off variables and charging each copy a price kappa_i per
 unit of load leaves a convex problem the package solves by sorting: copies
-join the support in price order until the marginal level lands in the
-right window.  Pricing with the true fees gives the root lower bound of
-the search tree.
+join the support in price order while their price stays below the marginal
+level of the copies before them.  Pricing with the true fees gives the root
+lower bound of the search tree.
 """
 
 import numpy as np

@@ -189,16 +189,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _bench_jobs(suite: dict):
-    """Expand a suite spec into an ordered list of (label, GeneratorSpec, mode)."""
+def _bench_jobs(suite):
+    """Expand a suite spec into an ordered list of (label, class, Instance, mode).
+
+    Every instance is built here, so a malformed entry raises (ValueError,
+    TypeError or KeyError) before any job runs.
+    """
+    if not isinstance(suite, dict):
+        raise ValueError('expected an object with an "entries" list')
     jobs = []
     for entry in suite.get("entries", []):
         klass = entry["class"]
         modes = entry.get("modes", ["nary"])
+        if not set(modes) <= {"nary", "binary"}:
+            raise ValueError(f"modes must be nary or binary, got {modes!r}")
         if klass == "partition":
             weights = tuple(int(w) for w in entry["weights"])
             specs = [GeneratorSpec(kind="partition", weights=weights)]
-        else:
+        elif klass in ("base", "random"):
             sizes = entry.get("sizes") or [entry["q"]]
             if klass == "random":
                 seeds = entry.get("seeds")
@@ -209,20 +217,22 @@ def _bench_jobs(suite: dict):
                          for q in sizes for s in seeds]
             else:
                 specs = [GeneratorSpec(kind="base", q=int(q)) for q in sizes]
+        else:
+            raise ValueError(f"unknown instance class {klass!r}")
         for spec in specs:
+            instance = spec.build()
             for mode in modes:
-                jobs.append((spec.label(), spec, mode))
+                jobs.append((spec.label(), spec.kind, instance, mode))
     return jobs
 
 
 def _run_job(job):
-    label, spec, mode = job
-    instance = spec.build()
+    label, klass, instance, mode = job
     root = continuous_relaxation_bound(instance)
     heur = primal_heuristic(instance)
     alloc, stats = solve(instance, SolveOptions(branching=mode))
     return RunReport(
-        instance=label, klass=spec.kind, q=instance.q, mode=mode,
+        instance=label, klass=klass, q=instance.q, mode=mode,
         optimum=alloc.value if stats.status == "optimal" else None,
         heuristic=heur.value, root_bound=root.bound,
         active=_active_counts(instance, alloc),
@@ -237,8 +247,9 @@ def cmd_bench(args) -> int:
         with open(args.suite, "r", encoding="utf-8") as fh:
             suite = json.load(fh)
         jobs = _bench_jobs(suite)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"error: bad suite spec: {err}", file=sys.stderr)
+    except (OSError, ValueError, TypeError, KeyError) as err:
+        why = f"missing key {err}" if isinstance(err, KeyError) else err
+        print(f"error: bad suite spec: {why}", file=sys.stderr)
         return EXIT_INPUT
     if not jobs:
         print("error: suite spec contains no jobs", file=sys.stderr)

@@ -120,10 +120,6 @@ def primal_heuristic(instance: Instance, strategy: str = "auto",
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if instance.has_constant:
-        raise ValueError(
-            "constant-latency resources have no marginal; use solve_constant_latency"
-        )
     if strategy == "auto":
         strategy = "power"
 

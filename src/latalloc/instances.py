@@ -174,18 +174,12 @@ class GeneratorSpec:
     seed: int | None = None
     exponent: float = 1.0
     weights: tuple | None = None
-    c_range: tuple = (1, 100)
-    b_range: tuple = (1, 100)
-    multiplicity_range: tuple = (1, 5)
 
     def build(self) -> Instance:
         if self.kind == "base":
             return generate_base(self.q)
         if self.kind == "random":
-            return generate_random(self.q, seed=self.seed or 0, c_range=self.c_range,
-                                   b_range=self.b_range,
-                                   multiplicity_range=self.multiplicity_range,
-                                   exponent=self.exponent)
+            return generate_random(self.q, seed=self.seed or 0, exponent=self.exponent)
         if self.kind == "partition":
             return partition_reduction(self.weights)
         raise ValueError(f"unknown instance class {self.kind!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, ConstantLatency, Instance
+from .model import Allocation, Instance
 from .relax import _ginv, _water_level
 
 
@@ -36,11 +36,6 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
     active = counts > 0
     if not active.any():
         raise ValueError("active set must be nonempty")
-    for g in np.flatnonzero(active):
-        if isinstance(instance.groups[g].latency, ConstantLatency):
-            raise ValueError(
-                "constant-latency resources have no marginal; use solve_constant_latency"
-            )
     k = counts[active].astype(float)
     b = instance.group_b[active]
     p = instance.group_p[active]
@@ -97,14 +92,13 @@ def solve_identical(fixed_cost: float, family, q: int):
 
     Using k copies costs F(k) = f(1/k) + k * c, which is discretely unimodal,
     so a binary search on the sign of the first difference finds the
-    minimizer; ties resolve to the smaller k.  Returns (k, F(k)).
+    minimizer; ties resolve to the smaller k.  A constant family makes F
+    nondecreasing, so it gets k = 1.  Returns (k, F(k)).
     """
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if fixed_cost < 0:
         raise ValueError(f"fixed cost must be >= 0, got {fixed_cost}")
-    if isinstance(family, ConstantLatency):
-        raise ValueError("use solve_constant_latency for constant latency families")
 
     def F(k):
         return family.f(1.0 / k) + k * fixed_cost

@@ -6,7 +6,7 @@ per-unit latency function f.  One unit of divisible demand must be split
 across activated copies; carrying fraction x on a copy costs c + x * f(x)
 (nothing if the copy is unused).  The marginal of the load cost, the
 derivative of z * f(z), drives every dual computation downstream, so the
-latency families expose it and its inverse directly.
+latency families expose it directly.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ SUM_TOL = 1e-9
 class LatencyFamily:
     """Per-unit latency f of a resource as a function of its load.
 
-    Subclasses supply ``f``, ``marginal`` (the derivative of z * f(z),
-    strictly increasing from 0) and ``marginal_inverse``.  The solvers take
-    power families, and instances of constant families only go through
-    ``solve_constant_latency``; any other subclass serves ``gamma`` and
-    ``Allocation`` only.
+    Subclasses supply ``f`` and ``marginal`` (the derivative of z * f(z),
+    strictly increasing from 0).  The solvers take power families, and
+    instances of constant families only go through ``solve_constant_latency``;
+    any other subclass serves ``gamma`` and ``Allocation`` only.
     """
 
     def f(self, z):
@@ -38,14 +37,14 @@ class LatencyFamily:
         """Derivative of the load cost z * f(z) at load z."""
         raise NotImplementedError
 
-    def marginal_inverse(self, t):
-        """Load at which the marginal reaches t; 0 for t <= 0."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PowerLatency(LatencyFamily):
-    """f(z) = b * z**p with b > 0 and p >= 1, so f(0) = 0."""
+    """f(z) = b * z**p with b > 0 and p >= 1, so f(0) = 0.
+
+    The marginal scale b(1+p) and its reciprocal must both be finite: the
+    solvers divide by one and bracket the marginal level with the other.
+    """
 
     b: float
     p: float = 1.0
@@ -55,6 +54,10 @@ class PowerLatency(LatencyFamily):
             raise ValueError(f"power latency needs finite b > 0, got {self.b}")
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"power latency needs finite p >= 1, got {self.p}")
+        curve = self.b * (1.0 + self.p)
+        if not (math.isfinite(curve) and math.isfinite(1.0 / curve)):
+            raise ValueError(f"power latency needs finite b(1+p) and 1/(b(1+p)), "
+                             f"got b={self.b}, p={self.p}")
 
     def f(self, z):
         return self.b * z ** self.p
@@ -63,11 +66,6 @@ class PowerLatency(LatencyFamily):
         if z < 0:
             raise ValueError(f"marginal undefined for negative load {z}")
         return self.b * (1.0 + self.p) * z ** self.p
-
-    def marginal_inverse(self, t):
-        if t <= 0.0:
-            return 0.0
-        return (t / (self.b * (1.0 + self.p))) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ class ConstantLatency(LatencyFamily):
         return self.value
 
     def marginal(self, z):
-        raise ValueError("constant latency has no load marginal; use solve_constant_latency")
-
-    def marginal_inverse(self, t):
         raise ValueError("constant latency has no load marginal; use solve_constant_latency")
 
 
@@ -230,11 +225,12 @@ class Instance:
         return self.group_p[self.copy_group]
 
     def _require_power(self):
+        """The one check that turns non-power families away from the solvers."""
         for i, g in enumerate(self.groups):
             if not isinstance(g.latency, PowerLatency):
                 raise ValueError(
-                    f"group {i} has a {type(g.latency).__name__}; "
-                    "this operation needs power latency families"
+                    f"group {i} has a {type(g.latency).__name__}; the solvers need "
+                    "power latency families (constant ones: use solve_constant_latency)"
                 )
 
 

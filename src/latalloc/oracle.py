@@ -3,7 +3,7 @@
 The exhaustive oracle enumerates activation counts per group (copy identity
 never matters) and exact-solves each pattern.  The numeric relaxation oracle
 minimizes the priced objective by projected gradient on the simplex, sharing
-neither the kappa sort nor the window scan with the fast relaxation code.
+neither the kappa sort nor the prefix scan with the fast relaxation code.
 """
 
 from __future__ import annotations

@@ -2,14 +2,20 @@
 
 Replacing each activation charge c_i * y_i by a per-unit price kappa_i * x_i
 leaves a convex splitting problem whose optimum prices every used copy at a
-common marginal level lam, with copy i used iff kappa_i < lam.  Sorting the
-available copies by kappa ascending turns the search for lam into a scan over
-prefix lengths h: the prefix is correct exactly when the level computed from
-it lands in the window kappa_h < lam <= kappa_{h+1}.  With linear latencies
-and running prefix sums the scan costs O(1) per candidate after the single
-sort.  Other exponents skip the scan: one bisection on lam over all
-available copies (``_water_level``) finds the clamped level directly, and the
-restricted solves in ``kkt`` reuse the same kernel for mixed exponents.
+common marginal level lam, with copy i used iff kappa_i < lam.  Subtracting
+the cheapest price from every price moves the objective by exactly that
+constant on the simplex, so both kernels solve in shifted prices (the
+cheapest copy at 0) and add the shift back to lam; the level offsets
+lam - kappa_i then keep their precision however large the prices are.
+
+With linear latencies the level of the h cheapest copies is
+lam_h = (1 + sum kappa_i/(2 b_i)) / sum 1/(2 b_i), a convex combination of
+lam_{h-1} and kappa_h.  Hence kappa_h < lam_h holds exactly on a prefix of
+the sorted copies, ties included, and one prefix-sum pass after the single
+sort finds the support.  Other
+exponents bisect for the clamped level over all available copies
+(``_water_level``); the restricted solves in ``kkt`` reuse the same kernel
+for mixed exponents.
 
 Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
 the same machinery a node bound for branch and bound; at the root this equals
@@ -23,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConstantLatency, Instance
-
-# Tolerance on the strict side of the support window kappa_h < lam.
-WINDOW_TOL = 1e-12
+from .model import Instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,42 +53,37 @@ def _ginv(t, b, p):
     return (t / (b * (1.0 + p))) ** (1.0 / p)
 
 
-def _block_ends(kap_sorted):
-    """Last index of each run of equal kappa values (equal-kappa copies move as a block)."""
-    return np.flatnonzero(np.append(kap_sorted[1:] > kap_sorted[:-1], True))
-
-
 def _scan_linear(kap_s, b_s):
-    """Prefix-sum scan for the all-linear case; returns (h, lam) or None."""
+    """Level lam for linear copies sorted by shifted price.
+
+    ``kap_s`` is ascending with ``kap_s[0] == 0``, so the first copy always
+    passes.  Copy h passes iff kappa_h < lam_{h-1}, which is the same test as
+    kappa_h < lam_h but reads only sums over passed copies; the first failing
+    copy and every later one then price at or above lam and get no load.
+    """
     inv2b = 0.5 / b_s
-    denom = np.cumsum(inv2b)
-    numer = 1.0 + np.cumsum(kap_s * inv2b)
-    lam_all = numer / denom
-    ends = _block_ends(kap_s)
-    lam_e = lam_all[ends]
-    left_ok = lam_e > kap_s[ends] + WINDOW_TOL
-    right_ok = np.ones(ends.size, dtype=bool)
-    right_ok[:-1] = lam_e[:-1] <= kap_s[ends[:-1] + 1] + WINDOW_TOL
-    passed = left_ok & right_ok
-    if not passed.any():
-        return None
-    e = int(ends[int(np.argmax(passed))])
-    return e + 1, float(lam_all[e])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sums past the first failing copy may overflow; the scan never reads them
+        lam_all = (1.0 + np.cumsum(kap_s * inv2b)) / np.cumsum(inv2b)
+    fails = kap_s[1:] >= lam_all[:-1]
+    h = 1 + int(np.argmax(fails)) if fails.any() else kap_s.size
+    return float(lam_all[h - 1])
 
 
 def _water_level(kap, b, p, weight=1.0):
     """Level lam at which sum weight * ginv(lam - kap) over all copies reaches 1.
 
-    The sum is continuous and nondecreasing in lam, zero at min kap, and at
-    least 1 at min kap + max b(1+p), where the cheapest copy alone carries a
-    full unit (every weight is >= 1).  Bisection on that bracket runs until
-    the midpoint no longer lies strictly between the ends, i.e. to float
-    resolution; an absolute width would be finer than the float spacing once
-    lam is large and would never be reached.  Returns the upper end.
+    ``kap`` holds shifted prices, min kap == 0.  The sum is continuous and
+    nondecreasing in lam, zero at 0, and at least 1 at max b(1+p), where the
+    cheapest copy alone carries a full unit (every weight is >= 1).
+    Bisection on that bracket runs until the midpoint no longer lies
+    strictly between the ends, i.e. to float resolution; an absolute width
+    would be finer than the float spacing once lam is large and would never
+    be reached.  Returns the upper end.
     """
     curve = b * (1.0 + p)
-    lo = float(np.min(kap))
-    hi = lo + float(np.max(curve))
+    lo = 0.0
+    hi = float(np.max(curve))
     scale = 1.0 / curve
     root = 1.0 / p
     while True:
@@ -107,40 +105,28 @@ def _solve_relaxation(instance: Instance, kappa, avail_mask):
     idx = np.flatnonzero(avail_mask)
     if idx.size == 0:
         raise ValueError("no available resource can carry the demand")
-    if instance.has_constant:
-        for g in set(int(t) for t in instance.copy_group[idx]):
-            if isinstance(instance.groups[g].latency, ConstantLatency):
-                raise ValueError(
-                    "constant-latency resources have no marginal; use solve_constant_latency"
-                )
-        b = np.array([instance.groups[g].latency.b for g in instance.copy_group[idx]])
-        p = np.array([instance.groups[g].latency.p for g in instance.copy_group[idx]])
-    else:
-        b = instance.copy_b[idx]
-        p = instance.copy_p[idx]
+    b = instance.copy_b[idx]
+    p = instance.copy_p[idx]
     kap = np.asarray(kappa, dtype=float)[idx]
 
     order = _stable_argsort(kap)
     kap_s = kap[order]
     b_s = b[order]
     p_s = p[order]
+    shift = kap_s[0]
+    rel = kap_s - shift
 
-    hit = _scan_linear(kap_s, b_s) if np.all(p_s == 1.0) else None
-    if hit is None:
-        # other exponents, or numerically degenerate linear windows: the
-        # clamped level over the whole available set zeroes every copy priced
-        # at or above it
-        h, lam = kap_s.size, _water_level(kap_s, b_s, p_s)
+    if np.all(p_s == 1.0):
+        lam = _scan_linear(rel, b_s)
     else:
-        h, lam = hit
-
-    x_s = _ginv(lam - kap_s, b_s, p_s)
-    x_s[h:] = 0.0
+        lam = _water_level(rel, b_s, p_s)
+    # the clamp zeroes every copy priced at or above the level
+    x_s = _ginv(lam - rel, b_s, p_s)
     obj = float((b_s * x_s ** (1.0 + p_s) + kap_s * x_s).sum())
 
     x = np.zeros(instance.q)
     x[idx[order]] = x_s
-    return lam, x, obj
+    return lam + shift, x, obj
 
 
 def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:

@@ -86,6 +86,23 @@ class TestSolve:
         assert main(["solve", str(path)]) == 3
         assert "line 4: invalid resource" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        "latalloc 1\n1 2\n1 1e308 1\n",
+        "latalloc 1\n2 1\n1 1e-310 1\n2 3 1\n",
+    ], ids=["overflow", "underflow"])
+    def test_unscalable_coefficient_is_input_error(self, tmp_path, capsys, body):
+        # b(1+p) overflows, or its reciprocal does
+        path = tmp_path / "unscalable.txt"
+        path.write_text(body)
+        assert main(["solve", str(path)]) == 3
+        assert "line 3: invalid resource" in capsys.readouterr().err
+
+    def test_coefficients_below_price_spacing_solve(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("latalloc 1\n2 1\n1 1e-17 1\n2 3e-17 1\n")
+        assert main(["solve", str(path)]) == 0
+        assert "optimum:           1\n" in capsys.readouterr().out
+
     def test_large_level_quadratic_file_solves(self, tmp_path):
         # the relaxation level passes 10 000 on this file; the root bound
         # once bisected forever there
@@ -166,6 +183,24 @@ class TestBench:
 
     def test_missing_suite(self, capsys):
         assert main(["bench", "/no/suite.json", "--out", "/tmp/x.csv"]) == 3
+
+    @pytest.mark.parametrize("spec", [
+        {"entries": [{"class": "partition", "weights": 5}]},
+        [1, 2],
+        {"entries": [{"class": "partition", "weights": [-1, 2]}]},
+        {"entries": [{"class": "random", "q": 5000, "seeds": [1]}]},
+        {"entries": [{"class": "base", "sizes": [0]}]},
+        {"entries": [{"class": "mystery", "q": 4}]},
+        {"entries": [{"class": "base", "sizes": [4], "modes": ["ternary"]}]},
+    ])
+    def test_malformed_suite_is_input_error(self, tmp_path, capsys, spec):
+        suite = tmp_path / "bad.json"
+        suite.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        assert main(["bench", str(suite), "--out", str(out)]) == 3
+        assert "error: bad suite spec:" in capsys.readouterr().err
+        # rejected before any job ran: no CSV was started
+        assert not out.exists()
 
     def test_empty_suite(self, tmp_path, capsys):
         suite = tmp_path / "empty.json"

@@ -134,6 +134,10 @@ class TestSolveIdentical:
         with pytest.raises(ValueError):
             solve_identical(1.0, PowerLatency(1.0, 1.0), 0)
 
+    def test_constant_family_takes_one_copy(self):
+        # F(k) = 3 + 2k only grows with k
+        assert solve_identical(2.0, ConstantLatency(3.0), 5) == (1, 5.0)
+
 
 class TestSolveConstantLatency:
     def test_picks_cheapest_total(self):

@@ -32,14 +32,6 @@ class TestPowerLatency:
         assert f.marginal(0.5) == 3.0
         assert f.marginal(1.0) == 6.0
 
-    def test_marginal_inverse_frozen(self):
-        f = PowerLatency(3.0, 1.0)
-        assert f.marginal_inverse(0.0) == 0.0
-        assert f.marginal_inverse(3.0) == pytest.approx(0.5, abs=1e-12)
-        assert f.marginal_inverse(6.0) == pytest.approx(1.0, abs=1e-12)
-        # nonpositive marginals clamp to zero
-        assert f.marginal_inverse(-2.0) == 0.0
-
     def test_marginal_rejects_negative(self):
         with pytest.raises(ValueError):
             PowerLatency(1.0, 1.0).marginal(-0.1)
@@ -51,12 +43,6 @@ class TestPowerLatency:
             PowerLatency(-1.0, 1.0)
         with pytest.raises(ValueError):
             PowerLatency(1.0, 0.5)
-
-    @given(b=st.floats(0.1, 100.0), p=st.floats(1.0, 4.0), z=st.floats(0.0, 1.0))
-    @settings(max_examples=200, deadline=None)
-    def test_inverse_round_trip(self, b, p, z):
-        f = PowerLatency(b, p)
-        assert f.marginal_inverse(f.marginal(z)) == pytest.approx(z, abs=1e-10)
 
     @given(b=st.floats(0.1, 50.0), p=st.floats(1.0, 3.0), z=st.floats(0.01, 0.99))
     @settings(max_examples=200, deadline=None)
@@ -71,9 +57,9 @@ class TestPowerLatency:
 class TestLatencyFamilyBase:
     def test_every_map_is_abstract(self):
         fam = LatencyFamily()
-        for method, arg in ((fam.f, 0.5), (fam.marginal, 0.5), (fam.marginal_inverse, 1.0)):
+        for method in (fam.f, fam.marginal):
             with pytest.raises(NotImplementedError):
-                method(arg)
+                method(0.5)
 
 
 class TestConstantLatency:
@@ -85,8 +71,6 @@ class TestConstantLatency:
             ConstantLatency(-1.0)
         with pytest.raises(ValueError):
             f.marginal(0.5)
-        with pytest.raises(ValueError):
-            f.marginal_inverse(1.0)
 
 
 class TestResourceGroup:
@@ -109,6 +93,12 @@ class TestResourceGroup:
             PowerLatency(1.0, bad)
         with pytest.raises(ValueError, match="finite"):
             ConstantLatency(bad)
+
+    @pytest.mark.parametrize("b, p", [(1e308, 2.0), (1e-310, 1.0)])
+    def test_marginal_scale_must_be_finite_both_ways(self, b, p):
+        # b(1+p) overflows, or is so small that its reciprocal does
+        with pytest.raises(ValueError, match="finite b\\(1\\+p\\)"):
+            PowerLatency(b, p)
 
     def test_gamma_frozen(self):
         g = ResourceGroup(2.0, PowerLatency(3.0, 1.0))
@@ -159,6 +149,15 @@ class TestInstance:
         assert inst.has_constant and not inst.all_constant
         allc = Instance.from_groups([ResourceGroup(1.0, ConstantLatency(1.0))])
         assert allc.all_constant
+
+    def test_power_arrays_name_the_constant_solver(self):
+        inst = Instance.from_groups([
+            ResourceGroup(1.0, ConstantLatency(1.0)),
+            ResourceGroup(2.0, PowerLatency(1.0, 1.0)),
+        ])
+        for attr in ("group_b", "group_p", "copy_b", "copy_p"):
+            with pytest.raises(ValueError, match="solve_constant_latency"):
+                getattr(inst, attr)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

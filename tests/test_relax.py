@@ -85,9 +85,10 @@ class TestOrderingAlgorithm:
         assert_kkt(inst, res.x, res.lam, kappa=kap)
 
     @given(seed=st.integers(0, 10_000),
-           exponents=st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=7, max_size=7))
+           exponents=st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=7, max_size=7),
+           offset=st.sampled_from([0.0, 2.0 ** 40]))
     @settings(max_examples=60, deadline=None)
-    def test_window_and_kkt_random(self, seed, exponents):
+    def test_window_and_kkt_random(self, seed, exponents, offset):
         rng = np.random.Generator(np.random.PCG64(seed))
         n = int(rng.integers(1, 8))
         inst = Instance.from_groups([
@@ -95,9 +96,15 @@ class TestOrderingAlgorithm:
                                             exponents[i]))
             for i in range(n)
         ])
-        # duplicated prices exercise the equal-price blocks
-        kap = np.round(rng.uniform(0.0, 3.0, inst.q), 1)
+        # multiples of 1/8: duplicated prices exercise ties, and adding the
+        # offset stays exact
+        kap = np.round(rng.uniform(0.0, 3.0, inst.q) * 8.0) / 8.0
         res = ordering_algorithm(inst, kap)
+        # a common price offset moves the objective by exactly the offset on
+        # the simplex and leaves the split alone
+        lifted = ordering_algorithm(inst, kap + offset)
+        assert lifted.x == pytest.approx(res.x, abs=1e-9)
+        assert lifted.bound == pytest.approx(res.bound + offset, rel=1e-12)
         assert_kkt(inst, res.x, res.lam, kappa=kap)
         assert res.bound == pytest.approx(numeric_relaxation(inst, kap), abs=1e-6)
         # support is exactly the copies priced below the level
@@ -154,3 +161,14 @@ class TestContinuousRelaxationBound:
         assert proc.returncode == 0, proc.stderr
         # only the c=10000 group is priced below the level: bound 10000 + 5
         assert float(proc.stdout) == pytest.approx(10005.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rows, bound", [
+        # b(1+p) = 2e-17 lies far below the float spacing at price 1
+        ([(1.0, 1e-17), (2.0, 3e-17)], 1.0),
+        # kappa/(2b) of the second copy overflows; the scan must stop before it
+        ([(1.0, 1.0), (1e300, 1e-300)], 2.0),
+    ], ids=["tiny-offsets", "overflow-past-support"])
+    def test_whole_unit_on_the_cheaper_copy(self, rows, bound):
+        res = continuous_relaxation_bound(make_instance(rows))
+        assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert res.bound == pytest.approx(bound, rel=1e-12)
