@@ -70,6 +70,10 @@ class SolveOptions:
     time_limit: float | None = None  # seconds
     trace: object | None = None      # file-like; one line per evaluated node
 
+    def __post_init__(self):
+        if self.branching not in ("nary", "binary"):
+            raise ValueError(f"unknown branching mode {self.branching!r}")
+
 
 def branch_children(node: BnbNode, instance: Instance, branching: str = "nary"):
     """Children of ``node``, most-active first.

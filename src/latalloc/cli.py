@@ -3,7 +3,8 @@
 Exit codes: 0 solved to proven optimality (or requested artifact produced),
 2 a node/time limit stopped the search early (or a benchmark was
 interrupted; partial rows are flushed), 3 bad input, 4 an internal
-invariant failed.
+invariant failed (a benchmark stops at the first job that breaks one; the rows
+already written stay).
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bnb import SolveOptions, solve
+from .bnb import SolveOptions, SolveStats, solve
 from .heuristic import primal_heuristic
 from .instances import (GeneratorSpec, InstanceFormatError, read_instance,
                         write_instance)
@@ -89,12 +91,42 @@ class RunReport:
                 int(self.status == "optimal")]
 
 
-def _active_counts(instance: Instance, allocation):
-    counts = {}
-    for i in sorted(allocation.active):
-        g = int(instance.copy_group[i])
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+class InvariantError(Exception):
+    """A run broke root bound <= result <= heuristic."""
+
+
+def checked_run(instance: Instance, name: str, klass: str,
+                options: SolveOptions | None = None) -> RunReport:
+    """Root bound, heuristic and, unless ``options`` is None, the search; checked and reported.
+
+    With ``options`` None the heuristic allocation is the result (mode
+    "heuristic").  Raises InvariantError unless root bound <= result <=
+    heuristic within a 1e-9 relative slack, whatever the mode and status: an
+    incumbent from a limit-stopped search is still feasible.
+    """
+    root = continuous_relaxation_bound(instance)
+    heur = primal_heuristic(instance)
+    if options is None:
+        mode = "heuristic"
+        alloc, stats = heur, SolveStats(nodes=1, bound_evals=1, incumbent_updates=1,
+                                        status="heuristic")
+    else:
+        mode = options.branching
+        alloc, stats = solve(instance, options)
+    slack = 1e-9 * max(1.0, abs(alloc.value))
+    if not root.bound - slack <= alloc.value <= heur.value + slack:
+        raise InvariantError(f"{name}: root bound {root.bound:.12g} <= result "
+                             f"{alloc.value:.12g} <= heuristic {heur.value:.12g} violated")
+    return RunReport(
+        instance=name, klass=klass, q=instance.q, mode=mode,
+        optimum=alloc.value if stats.status == "optimal" else None,
+        heuristic=heur.value, root_bound=root.bound,
+        active=dict(Counter(int(instance.copy_group[i]) for i in sorted(alloc.active))),
+        x={int(i): float(alloc.x[i]) for i in sorted(alloc.active)},
+        nodes=stats.nodes, bound_evals=stats.bound_evals,
+        incumbent_updates=stats.incumbent_updates,
+        wall_ms=stats.wall_time * 1000.0, status=stats.status,
+    )
 
 
 def cmd_solve(args) -> int:
@@ -105,52 +137,19 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT
 
     name = str(args.path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    root = continuous_relaxation_bound(instance)
-    heur = primal_heuristic(instance)
-
-    if args.heuristic_only:
-        report = RunReport(
-            instance=name, klass="file", q=instance.q, mode="heuristic",
-            optimum=None, heuristic=heur.value, root_bound=root.bound,
-            active=_active_counts(instance, heur),
-            x={int(i): float(heur.x[i]) for i in sorted(heur.active)},
-            nodes=1, bound_evals=1, incumbent_updates=1, wall_ms=0.0,
-            status="heuristic",
-        )
-        if heur.value < root.bound - 1e-9 * max(1.0, abs(heur.value)):
-            print("error: heuristic value undercuts the root lower bound", file=sys.stderr)
-            return EXIT_INTERNAL
-        _emit(report, args.format)
-        return EXIT_OK
-
-    options = SolveOptions(
+    options = None if args.heuristic_only else SolveOptions(
         branching="binary" if args.binary_branching else "nary",
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         trace=sys.stderr if args.trace else None,
     )
-    alloc, stats = solve(instance, options)
-
-    slack = 1e-9 * max(1.0, abs(alloc.value))
-    sandwich_ok = (heur.value >= alloc.value - slack
-                   and (stats.status != "optimal" or alloc.value >= root.bound - slack))
-    if not sandwich_ok:
-        print("error: heuristic >= optimum >= bound sandwich violated", file=sys.stderr)
+    try:
+        report = checked_run(instance, name, "file", options)
+    except InvariantError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-
-    report = RunReport(
-        instance=name, klass="file", q=instance.q,
-        mode="binary" if args.binary_branching else "nary",
-        optimum=alloc.value if stats.status == "optimal" else None,
-        heuristic=heur.value, root_bound=root.bound,
-        active=_active_counts(instance, alloc),
-        x={int(i): float(alloc.x[i]) for i in sorted(alloc.active)},
-        nodes=stats.nodes, bound_evals=stats.bound_evals,
-        incumbent_updates=stats.incumbent_updates,
-        wall_ms=stats.wall_time * 1000.0, status=stats.status,
-    )
     _emit(report, args.format)
-    return EXIT_OK if stats.status == "optimal" else EXIT_LIMIT
+    return EXIT_OK if report.status in ("optimal", "heuristic") else EXIT_LIMIT
 
 
 def _emit(report: RunReport, fmt: str) -> None:
@@ -190,19 +189,17 @@ def cmd_generate(args) -> int:
 
 
 def _bench_jobs(suite):
-    """Expand a suite spec into an ordered list of (label, class, Instance, mode).
+    """Expand a suite spec into an ordered list of (Instance, label, class, SolveOptions).
 
-    Every instance is built here, so a malformed entry raises (ValueError,
-    TypeError or KeyError) before any job runs.
+    Every instance and option set is built here, so a malformed entry raises
+    (ValueError, TypeError or KeyError) before any job runs.
     """
     if not isinstance(suite, dict):
         raise ValueError('expected an object with an "entries" list')
     jobs = []
     for entry in suite.get("entries", []):
         klass = entry["class"]
-        modes = entry.get("modes", ["nary"])
-        if not set(modes) <= {"nary", "binary"}:
-            raise ValueError(f"modes must be nary or binary, got {modes!r}")
+        options = [SolveOptions(branching=mode) for mode in entry.get("modes", ["nary"])]
         if klass == "partition":
             weights = tuple(int(w) for w in entry["weights"])
             specs = [GeneratorSpec(kind="partition", weights=weights)]
@@ -221,28 +218,18 @@ def _bench_jobs(suite):
             raise ValueError(f"unknown instance class {klass!r}")
         for spec in specs:
             instance = spec.build()
-            for mode in modes:
-                jobs.append((spec.label(), spec.kind, instance, mode))
+            jobs += [(instance, spec.label(), spec.kind, opts) for opts in options]
     return jobs
 
 
 def _run_job(job):
-    label, klass, instance, mode = job
-    root = continuous_relaxation_bound(instance)
-    heur = primal_heuristic(instance)
-    alloc, stats = solve(instance, SolveOptions(branching=mode))
-    return RunReport(
-        instance=label, klass=klass, q=instance.q, mode=mode,
-        optimum=alloc.value if stats.status == "optimal" else None,
-        heuristic=heur.value, root_bound=root.bound,
-        active=_active_counts(instance, alloc),
-        x={}, nodes=stats.nodes, bound_evals=stats.bound_evals,
-        incumbent_updates=stats.incumbent_updates,
-        wall_ms=stats.wall_time * 1000.0, status=stats.status,
-    )
+    return checked_run(*job)
 
 
 def cmd_bench(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         with open(args.suite, "r", encoding="utf-8") as fh:
             suite = json.load(fh)
@@ -255,26 +242,28 @@ def cmd_bench(args) -> int:
         print("error: suite spec contains no jobs", file=sys.stderr)
         return EXIT_INPUT
 
+    # a fork-based pool starts every worker at the first submit, so never ask
+    # for more than there are jobs
+    workers = min(args.workers, len(jobs))
     reports = []
     interrupted = False
+    failure = None
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
+        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
-            if args.workers > 1:
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    for report in pool.map(_run_job, jobs):
-                        reports.append(report)
-                        writer.writerow(report.row())
-                        fh.flush()
-            else:
-                for job in jobs:
-                    report = _run_job(job)
-                    reports.append(report)
-                    writer.writerow(report.row())
-                    fh.flush()
+            for report in (map if pool is None else pool.map)(_run_job, jobs):
+                reports.append(report)
+                writer.writerow(report.row())
+                fh.flush()
         except KeyboardInterrupt:
             interrupted = True
+        except InvariantError as err:
+            failure = err
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         # summary rows mirror the per-(class, size, mode) averages
         groups = {}
         for r in reports:
@@ -292,9 +281,12 @@ def cmd_bench(args) -> int:
                 f"{sum(r.wall_ms for r in rs) / n:.3f}",
                 int(all(r.status == "optimal" for r in rs)),
             ])
-    done = len(reports)
-    print(f"bench: {done}/{len(jobs)} jobs -> {args.out}"
-          + (" (interrupted, partial)" if interrupted else ""))
+    done = f"bench: {len(reports)}/{len(jobs)} jobs -> {args.out}"
+    if failure is not None:
+        print(f"{done} (stopped, partial)")
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(done + (" (interrupted, partial)" if interrupted else ""))
     return EXIT_LIMIT if interrupted else EXIT_OK
 
 

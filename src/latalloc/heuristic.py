@@ -2,14 +2,14 @@
 
 The support of the root relaxation (free copies priced at their own fixed
 costs) is an excellent activation guess; greedy single-copy removals and
-additions from there land on a local optimum.  Which resource to propose is
-criterion-driven: the plain rule targets the largest (removal) or smallest
-(addition) fixed cost, while the power-latency rule also weighs the
-stand-alone cost c + b and the mixed key c + b**(1/(p+1)).  The two rules
-descend into opposite corners of the landscape - cheap-activation sets with
-shared load versus a few fast resources paid for up front - so for power
-instances both walks run, along with a third started from the best prefix
-of the stand-alone-cost order, and the cheapest endpoint wins.
+additions from there land on a local optimum.  Which group a move proposes
+is key-driven: the plain key is the fixed cost c (drop the largest, add the
+smallest), while the power keys also weigh the stand-alone cost c + b and
+the mixed key c + b**(1/(p+1)).  The keys descend into opposite corners of
+the landscape - cheap-activation sets with shared load versus a few fast
+resources paid for up front - so three walks run: the plain key and the
+power keys from the relaxation seed, and the power keys from the best
+prefix of the stand-alone-cost order.  The cheapest endpoint wins.
 """
 
 from __future__ import annotations
@@ -20,61 +20,51 @@ from .kkt import _counts_solve, _counts_to_dense
 from .model import Allocation, Instance
 from .relax import ordering_algorithm
 
-STRATEGIES = ("auto", "fixed_cost", "power")
+
+def _candidates(keys, counts, mult, step):
+    """Groups to move by ``step`` copies (-1 remove, +1 add), strongest first.
+
+    Each key proposes one group: the largest key among groups with a copy on
+    (removal) or the smallest among groups with a copy off (addition).
+    """
+    movable = counts > 0 if step < 0 else counts < mult
+    out = []
+    for key in keys:
+        # removal ranks by -key, so the strongest proposal is always the minimum
+        masked = np.where(movable, step * key, np.inf)
+        g = int(np.argmin(masked))
+        if np.isfinite(masked[g]) and g not in [gg for _, gg in out]:
+            out.append((masked[g], g))
+    out.sort(key=lambda t: t[0])
+    return [g for _, g in out]
 
 
-class _Walker:
-    """Greedy remove/add local search over per-group activation counts."""
+def _walk(instance, keys, start, accepted_values=None):
+    """Greedy single-copy local search from ``start`` = (counts, value, x_groups).
 
-    def __init__(self, instance, keys):
-        self.instance = instance
-        self.keys = keys
-        self.mult = np.asarray(instance.multiplicities, dtype=np.intp)
-
-    def _candidates(self, counts, removing):
-        # one candidate per key, deduplicated, strongest key value first
-        out = []
-        for key in self.keys:
-            if removing:
-                masked = np.where(counts > 0, key, -np.inf)
-                g = int(np.argmax(masked))
-                ok = np.isfinite(masked[g])
-            else:
-                masked = np.where(counts < self.mult, key, np.inf)
-                g = int(np.argmin(masked))
-                ok = np.isfinite(masked[g])
-            if ok and g not in [gg for _, gg in out]:
-                out.append((key[g], g))
-        out.sort(key=lambda t: -t[0] if removing else t[0])
-        return [g for _, g in out]
-
-    def run(self, counts, value, x_groups, accepted_values=None):
-        counts = counts.copy()
-        improved = True
-        while improved:
-            improved = False
-            if counts.sum() > 1:
-                for g in self._candidates(counts, removing=True):
-                    trial = counts.copy()
-                    trial[g] -= 1
-                    _, xg, v = _counts_solve(self.instance, trial)
-                    if v < value:
-                        counts, value, x_groups = trial, v, xg
-                        improved = True
-                        if accepted_values is not None:
-                            accepted_values.append(value)
-                        break
-            for g in self._candidates(counts, removing=False):
+    A round tries at most one removal (never emptying the active set), then
+    at most one addition; a move is taken on strict improvement only, so the
+    walk terminates.  Returns the endpoint as (counts, value, x_groups).
+    """
+    counts, value, x_groups = start
+    mult = np.asarray(instance.multiplicities, dtype=np.intp)
+    improved = True
+    while improved:
+        improved = False
+        for step in (-1, +1):
+            if step < 0 and counts.sum() <= 1:
+                continue
+            for g in _candidates(keys, counts, mult, step):
                 trial = counts.copy()
-                trial[g] += 1
-                _, xg, v = _counts_solve(self.instance, trial)
+                trial[g] += step
+                _, xg, v = _counts_solve(instance, trial)
                 if v < value:
                     counts, value, x_groups = trial, v, xg
                     improved = True
                     if accepted_values is not None:
                         accepted_values.append(value)
                     break
-        return counts, value, x_groups
+    return counts, value, x_groups
 
 
 def _dual_seed(instance):
@@ -103,43 +93,28 @@ def _standalone_prefix_seed(instance, standalone):
     return best
 
 
-def primal_heuristic(instance: Instance, strategy: str = "auto",
-                     accepted_values: list | None = None) -> Allocation:
-    """Feasible allocation from relaxation-support seeds plus local remove/add moves.
+def primal_heuristic(instance: Instance, accepted_values: list | None = None) -> Allocation:
+    """Feasible allocation from three seeded walks of single-copy remove/add moves.
 
-    ``strategy`` picks the proposal criterion.  "fixed_cost" is the always
-    applicable rule: drop the active group with the largest fixed cost, add
-    the inactive group with the smallest.  "power" (valid only when every
-    latency is a power function) additionally ranks groups by c + b and
-    c + b**(1/(p+1)), runs the plain walk, the ranked walk, and a walk
-    seeded from the best stand-alone-cost prefix, and keeps the cheapest
-    result.  "auto" selects "power" when available.  Moves change one copy
-    at a time, never empty the active set, and are accepted only on strict
-    improvement, so each walk terminates.  ``accepted_values``, if given,
-    collects the value after every accepted move.
+    The walks are the plain key c from the relaxation seed, the power keys
+    (c + b, c + b**(1/(p+1)), c) from the relaxation seed, and the power
+    keys from the best stand-alone-cost prefix; the first cheapest endpoint
+    is kept.  ``accepted_values``, if given, collects the value after every
+    accepted move, walk after walk.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy == "auto":
-        strategy = "power"
-
     c = instance.group_fixed_costs
+    b = instance.group_b
+    power_keys = (c + b, c + b ** (1.0 / (instance.group_p + 1.0)), c)
     seed = _dual_seed(instance)
     _, seed_x, seed_v = _counts_solve(instance, seed)
-
-    counts, value, x_groups = _Walker(instance, (c,)).run(
-        seed, seed_v, seed_x, accepted_values)
-
-    if strategy == "power":
-        b = instance.group_b
-        p = instance.group_p
-        keys = (c + b, c + b ** (1.0 / (p + 1.0)), c)
-        for walk_seed in (
-            (seed, seed_v, seed_x),
-            _standalone_prefix_seed(instance, c + b),
-        ):
-            cnt, v, xg = _Walker(instance, keys).run(*walk_seed, accepted_values)
-            if v < value:
-                counts, value, x_groups = cnt, v, xg
-
+    relaxation_start = (seed, seed_v, seed_x)
+    walks = (((c,), relaxation_start),
+             (power_keys, relaxation_start),
+             (power_keys, _standalone_prefix_seed(instance, c + b)))
+    best = None
+    for keys, start in walks:
+        end = _walk(instance, keys, start, accepted_values)
+        if best is None or end[1] < best[1]:
+            best = end
+    counts, _, x_groups = best
     return Allocation.from_fractions(instance, _counts_to_dense(instance, counts, x_groups))

@@ -224,6 +224,7 @@ def test_criterion_6_fast_paths_match_scans():
             f"in support on {len(free_cases)}/{len(free_cases)} ({free_bad} off)")
 
 
+@pytest.mark.slow
 def test_criterion_7_scaling_ceilings():
     t0 = time.perf_counter()
     alloc200, stats200 = solve(generate_base(200))

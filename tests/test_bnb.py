@@ -100,6 +100,11 @@ class TestSolve:
         # the incumbent is still a feasible allocation
         assert float(alloc.x.sum()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_bad_branching_rejected_at_construction(self):
+        # a one-group instance closes at the root, so only the constructor can catch it
+        with pytest.raises(ValueError, match="ternary"):
+            solve(make_instance([(2, 3)]), SolveOptions(branching="ternary"))
+
     def test_time_limit_zero(self, ladder3):
         alloc, stats = solve(ladder3, SolveOptions(time_limit=0.0))
         assert stats.status == "time_limit"

@@ -5,10 +5,13 @@ import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from latalloc import generate_base, generate_random, read_instance, solve, write_instance
+import latalloc.cli
+from latalloc import (continuous_relaxation_bound, generate_base, generate_random,
+                      read_instance, solve, write_instance)
 from latalloc.cli import CSV_COLUMNS, main
 
 from conftest import run_isolated
@@ -207,6 +210,91 @@ class TestBench:
         suite.write_text(json.dumps({"entries": []}))
         assert main(["bench", str(suite), "--out", str(tmp_path / "x.csv")]) == 3
         assert "no jobs" in capsys.readouterr().err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(latalloc.cli, "ProcessPoolExecutor", _InlinePool)
+    return _InlinePool
+
+
+def _base_suite(tmp_path, sizes):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"entries": [{"class": "base", "sizes": sizes}]}))
+    return str(suite)
+
+
+class TestBenchWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_is_input_error(self, tmp_path, capsys, inline_pool, workers):
+        out = tmp_path / "x.csv"
+        args = ["bench", _base_suite(tmp_path, [4]), "--out", str(out), "--workers", workers]
+        assert main(args) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert inline_pool.sizes == []
+
+    def test_pool_capped_at_job_count(self, tmp_path, inline_pool):
+        out = tmp_path / "x.csv"
+        args = ["bench", _base_suite(tmp_path, [4, 5]), "--out", str(out), "--workers", "100000"]
+        assert main(args) == 0
+        assert inline_pool.sizes == [2]
+        assert len([r for r in _csv_rows(out.read_text())[1:] if r[0] != "average"]) == 2
+
+    def test_single_job_runs_without_pool(self, tmp_path, inline_pool):
+        args = ["bench", _base_suite(tmp_path, [4]), "--out", str(tmp_path / "x.csv"),
+                "--workers", "100000"]
+        assert main(args) == 0
+        assert inline_pool.sizes == []
+
+
+class TestInvariant:
+    """A root bound above the optimum must stop every run path with exit 4."""
+
+    @pytest.fixture
+    def loose_bound(self, monkeypatch):
+        # raise the bound above the optimum on instances with q >= 6 only
+        def bound(instance):
+            root = continuous_relaxation_bound(instance)
+            return SimpleNamespace(bound=root.bound + 1e3 if instance.q >= 6 else root.bound)
+        monkeypatch.setattr(latalloc.cli, "continuous_relaxation_bound", bound)
+
+    @pytest.mark.parametrize("extra", [[], ["--heuristic-only"]])
+    def test_solve(self, ladder_file, capsys, loose_bound, extra):
+        assert main(["solve", ladder_file, *extra]) == 4
+        captured = capsys.readouterr()
+        assert "violated" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bench_stops_and_keeps_written_rows(self, tmp_path, capsys, loose_bound,
+                                                inline_pool, workers):
+        out = tmp_path / "bench.csv"
+        args = ["bench", _base_suite(tmp_path, [4, 6, 5]), "--out", str(out),
+                "--workers", workers]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert "1/3 jobs" in captured.out
+        assert "violated" in captured.err
+        rows = _csv_rows(out.read_text())
+        assert rows[0] == CSV_COLUMNS
+        assert [r[0] for r in rows[1:]] == ["b4", "average"]
 
 
 def test_module_entry_point(tmp_path):
