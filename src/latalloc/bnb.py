@@ -7,12 +7,13 @@ off) keeps permutations of identical copies out of the tree.  A binary mode
 that fixes one copy at a time is retained purely for comparison; with all
 multiplicities 1 the two trees coincide.
 
-Nodes carry (on, off) count tuples.  A child inherits its parent's bound
-until popped; it is then either pruned on that inherited bound without any
-work, discarded as infeasible, or priced by the continuous relaxation.  When
-the relaxation of a node splits the demand only across committed or fully
-loaded copies, the node is solved: re-solving the restricted problem on the
-support tightens the incumbent and the node closes.
+Nodes carry per-group (on, off) count arrays, never written once built.  A
+child inherits its parent's bound until popped; it is then either pruned on
+that inherited bound without any work, discarded as infeasible, or priced by
+the continuous relaxation (``relax._node_relaxation``).  When the relaxation
+of a node splits the demand only across committed or fully loaded copies,
+the node is solved: re-solving the restricted problem on the support
+tightens the incumbent and the node closes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .heuristic import primal_heuristic
 from .kkt import _counts_solve, _counts_to_dense, solve_constant_latency
 from .model import Allocation, Instance
-from .relax import _solve_relaxation
+from .relax import _node_relaxation
 
 # A node is pruned when its bound cannot undercut the incumbent by more than
 # this relative slack.
@@ -34,16 +35,18 @@ PRUNE_RTOL = 1e-9
 INTEGRAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BnbNode:
-    """Subproblem: per-group counts of copies fixed on and fixed off.
+    """Subproblem: per-group count arrays of copies fixed on and fixed off.
 
-    ``lower_bound`` is the best bound known for the node; children are
-    created with the parent's bound and tightened when evaluated.
+    The first ``on_counts[g]`` copies of group g are on and the last
+    ``off_counts[g]`` off; no code writes to the arrays after the node is
+    built.  ``lower_bound`` is the best bound known for the node; children
+    are created with the parent's bound and tightened when evaluated.
     """
 
-    on_counts: tuple
-    off_counts: tuple
+    on_counts: np.ndarray
+    off_counts: np.ndarray
     lower_bound: float
     depth: int
 
@@ -61,8 +64,10 @@ class SolveStats:
 class SolveOptions:
     """Search settings.
 
-    ``node_limit`` caps created nodes (the root plus every child pushed by
-    branching, as counted in ``SolveStats.nodes``), not evaluated ones.
+    ``node_limit`` >= 1 caps created nodes (the root plus every child pushed
+    by branching, as in ``SolveStats.nodes``), not evaluated ones.
+    ``time_limit`` >= 0 is in seconds; 0 stops before the root is evaluated.
+    None leaves a limit off; a value out of range or NaN raises ValueError.
     """
 
     branching: str = "nary"          # "nary" | "binary"
@@ -73,6 +78,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.branching not in ("nary", "binary"):
             raise ValueError(f"unknown branching mode {self.branching!r}")
+        if self.node_limit is not None and not self.node_limit >= 1:
+            raise ValueError(f"node limit must be >= 1, got {self.node_limit}")
+        if self.time_limit is not None and not self.time_limit >= 0.0:
+            raise ValueError(f"time limit must be >= 0 seconds, got {self.time_limit}")
 
 
 def branch_children(node: BnbNode, instance: Instance, branching: str = "nary"):
@@ -81,29 +90,24 @@ def branch_children(node: BnbNode, instance: Instance, branching: str = "nary"):
     Picks the group with the largest fixed cost among those with free copies
     (ties to the lowest index) and fixes all its n free copies, emitting n+1
     children with (on, off) increments (n,0), (n-1,1), ..., (0,n).  Binary
-    branching fixes a single copy instead (increments (1,0), (0,1)).
+    branching fixes a single copy instead (increments (1,0), (0,1)).  Count
+    tuples are accepted too; the children always hold fresh arrays.
     """
     if branching not in ("nary", "binary"):
         raise ValueError(f"unknown branching mode {branching!r}")
-    mult = instance.multiplicities
-    c = instance.group_fixed_costs
-    best = -1
-    best_c = None
-    for g in range(len(mult)):
-        if node.on_counts[g] + node.off_counts[g] < mult[g]:
-            if best_c is None or c[g] > best_c:
-                best, best_c = g, c[g]
-    if best < 0:
+    on = np.asarray(node.on_counts, dtype=np.intp)
+    off = np.asarray(node.off_counts, dtype=np.intp)
+    free = instance.group_multiplicities - on - off
+    if not free.any():
         raise ValueError("node has no free copy to branch on")
-    n_free = mult[best] - node.on_counts[best] - node.off_counts[best]
-    n = 1 if branching == "binary" else n_free
+    best = int(np.where(free > 0, instance.group_fixed_costs, -np.inf).argmax())
+    n = 1 if branching == "binary" else int(free[best])
     children = []
     for l in range(n, -1, -1):
-        on = list(node.on_counts)
-        off = list(node.off_counts)
-        on[best] += l
-        off[best] += n - l
-        children.append(BnbNode(tuple(on), tuple(off), node.lower_bound, node.depth + 1))
+        kid_on, kid_off = on.copy(), off.copy()
+        kid_on[best] += l
+        kid_off[best] += n - l
+        children.append(BnbNode(kid_on, kid_off, node.lower_bound, node.depth + 1))
     return children
 
 
@@ -128,12 +132,8 @@ def solve(instance: Instance, options: SolveOptions | None = None):
         return alloc, SolveStats(nodes=1, bound_evals=1, incumbent_updates=1,
                                  wall_time=time.perf_counter() - t0, status="optimal")
 
-    nG = len(instance.groups)
-    mult_arr = np.asarray(instance.multiplicities, dtype=np.intp)
-    c_group = instance.group_fixed_costs
-    c_copy = instance.copy_fixed_cost
-    copy_group = instance.copy_group
-    copy_pos = instance.copy_pos
+    mult = instance.group_multiplicities
+    copy_group, copy_pos = instance.copy_group, instance.copy_pos
 
     heur = primal_heuristic(instance)
     inc_value = heur.value
@@ -141,21 +141,8 @@ def solve(instance: Instance, options: SolveOptions | None = None):
     stats = SolveStats(incumbent_updates=1)
     trace = options.trace
 
-    def evaluate(on_counts, off_counts):
-        """Relaxation bound and fractions of a node, or None when infeasible."""
-        on_arr = np.asarray(on_counts, dtype=np.intp)
-        off_arr = np.asarray(off_counts, dtype=np.intp)
-        on_mask = copy_pos < on_arr[copy_group]
-        avail_mask = copy_pos < (mult_arr - off_arr)[copy_group]
-        if not avail_mask.any():
-            return None
-        kappa = np.where(on_mask, 0.0, c_copy)
-        _, x, obj = _solve_relaxation(instance, kappa, avail_mask)
-        bound = obj + float(on_arr @ c_group)
-        free_mask = avail_mask & ~on_mask
-        return bound, x, free_mask
-
-    root = BnbNode((0,) * nG, (0,) * nG, -np.inf, 0)
+    nG = len(instance.groups)
+    root = BnbNode(np.zeros(nG, dtype=np.intp), np.zeros(nG, dtype=np.intp), -np.inf, 0)
     stack = [root]
     stats.nodes = 1
 
@@ -170,16 +157,17 @@ def solve(instance: Instance, options: SolveOptions | None = None):
         node = stack.pop()
         if node.lower_bound >= inc_value - _prune_gap(inc_value):
             continue  # pruned on the inherited bound, no evaluation needed
-        ev = evaluate(node.on_counts, node.off_counts)
-        if ev is None:
+        on_mask = copy_pos < node.on_counts[copy_group]
+        avail_mask = copy_pos < (mult - node.off_counts)[copy_group]
+        if not avail_mask.any():
             continue  # no available copy: infeasible subproblem
-        bound, x, free_mask = ev
+        _, x, bound = _node_relaxation(instance, on_mask, avail_mask)
         stats.bound_evals += 1
         if trace is not None:
             trace.write(f"depth={node.depth} bound={bound:.12g} incumbent={inc_value:.12g}\n")
         if bound >= inc_value - _prune_gap(inc_value):
             continue
-        xf = x[free_mask]
+        xf = x[avail_mask & ~on_mask]
         if np.all((xf <= INTEGRAL_TOL) | (xf >= 1.0 - INTEGRAL_TOL)):
             # relaxation already integral for the free copies: close the node
             # by re-solving exactly on its support

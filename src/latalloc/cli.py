@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .bnb import SolveOptions, SolveStats, solve
 from .heuristic import primal_heuristic
-from .instances import (GeneratorSpec, InstanceFormatError, read_instance,
-                        write_instance)
+from .instances import GeneratorSpec, read_instance, write_instance
 from .model import Instance
 from .relax import continuous_relaxation_bound
 
@@ -132,19 +131,20 @@ def checked_run(instance: Instance, name: str, klass: str,
 def cmd_solve(args) -> int:
     try:
         instance = read_instance(args.path)
-    except (OSError, InstanceFormatError) as err:
+        # a malformed file and a bad limit both raise ValueError
+        options = SolveOptions(
+            branching="binary" if args.binary_branching else "nary",
+            node_limit=args.node_limit,
+            time_limit=args.time_limit,
+            trace=sys.stderr if args.trace else None,
+        )
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
     name = str(args.path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    options = None if args.heuristic_only else SolveOptions(
-        branching="binary" if args.binary_branching else "nary",
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        trace=sys.stderr if args.trace else None,
-    )
     try:
-        report = checked_run(instance, name, "file", options)
+        report = checked_run(instance, name, "file", None if args.heuristic_only else options)
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -47,14 +47,13 @@ def _walk(instance, keys, start, accepted_values=None):
     walk terminates.  Returns the endpoint as (counts, value, x_groups).
     """
     counts, value, x_groups = start
-    mult = np.asarray(instance.multiplicities, dtype=np.intp)
     improved = True
     while improved:
         improved = False
         for step in (-1, +1):
             if step < 0 and counts.sum() <= 1:
                 continue
-            for g in _candidates(keys, counts, mult, step):
+            for g in _candidates(keys, counts, instance.group_multiplicities, step):
                 trial = counts.copy()
                 trial[g] += step
                 _, xg, v = _counts_solve(instance, trial)

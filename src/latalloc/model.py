@@ -183,6 +183,10 @@ class Instance:
         return tuple(int(g.multiplicity) for g in self.groups)
 
     @cached_property
+    def group_multiplicities(self) -> np.ndarray:
+        return np.array(self.multiplicities, dtype=np.intp)
+
+    @cached_property
     def group_fixed_costs(self) -> np.ndarray:
         return np.array([g.fixed_cost for g in self.groups], dtype=float)
 

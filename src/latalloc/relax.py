@@ -5,22 +5,25 @@ leaves a convex splitting problem whose optimum prices every used copy at a
 common marginal level lam, with copy i used iff kappa_i < lam.  Subtracting
 the cheapest price from every price moves the objective by exactly that
 constant on the simplex, so both kernels solve in shifted prices (the
-cheapest copy at 0) and add the shift back to lam; the level offsets
-lam - kappa_i then keep their precision however large the prices are.
+cheapest copy at 0) and add the shift back to lam.
 
-With linear latencies the level of the h cheapest copies is
-lam_h = (1 + sum kappa_i/(2 b_i)) / sum 1/(2 b_i), a convex combination of
-lam_{h-1} and kappa_h.  Hence kappa_h < lam_h holds exactly on a prefix of
-the sorted copies, ties included, and one prefix-sum pass after the single
-sort finds the support.  Other
+With linear latencies copy i carries (lam - kappa_i)/(2 b_i), so raising
+the level from kappa_{h-1} to kappa_h over the h cheapest copies pours
+W_{h-1} (kappa_h - kappa_{h-1}) of demand, where W_h = sum_{i<=h} 1/(2 b_i).
+The demand D_h needed to reach kappa_h is nondecreasing in h, so the support
+is the prefix with D_h < 1, ties included, and the level is
+kappa_h + (1 - D_h)/W_h on its last copy: one prefix-sum pass after the
+single sort.  The offsets lam - kappa_i are built from that share, not from
+lam, so they keep their precision even where lam dwarfs them.  Other
 exponents bisect for the clamped level over all available copies
 (``_water_level``); the restricted solves in ``kkt`` reuse the same kernel
 for mixed exponents.
 
 Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
-the same machinery a node bound for branch and bound; at the root this equals
-the best Lagrangean dual bound, which is attained at multipliers equal to the
-fixed costs.
+the same machinery a node bound for branch and bound (``_node_relaxation``,
+the one place that rule is written); at the root this equals the best
+Lagrangean dual bound, which is attained at multipliers equal to the fixed
+costs.
 """
 
 from __future__ import annotations
@@ -54,20 +57,23 @@ def _ginv(t, b, p):
 
 
 def _scan_linear(kap_s, b_s):
-    """Level lam for linear copies sorted by shifted price.
+    """Level lam and offsets lam - kappa for linear copies sorted by shifted price.
 
     ``kap_s`` is ascending with ``kap_s[0] == 0``, so the first copy always
-    passes.  Copy h passes iff kappa_h < lam_{h-1}, which is the same test as
-    kappa_h < lam_h but reads only sums over passed copies; the first failing
-    copy and every later one then price at or above lam and get no load.
+    passes.  Copy h passes iff the demand D_h poured before the level reaches
+    kappa_h is below 1; the first failing copy and every later one get
+    offset 0.
     """
-    inv2b = 0.5 / b_s
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         # sums past the first failing copy may overflow; the scan never reads them
-        lam_all = (1.0 + np.cumsum(kap_s * inv2b)) / np.cumsum(inv2b)
-    fails = kap_s[1:] >= lam_all[:-1]
-    h = 1 + int(np.argmax(fails)) if fails.any() else kap_s.size
-    return float(lam_all[h - 1])
+        fill = (0.5 / b_s).cumsum()
+        demand = (fill[:-1] * (kap_s[1:] - kap_s[:-1])).cumsum()
+    # demand is nondecreasing, so the first failing copy is found by bisection
+    h = int(demand.searchsorted(1.0))
+    rest = (1.0 - (demand[h - 1] if h else 0.0)) / fill[h]
+    gap = np.zeros(kap_s.size)
+    gap[:h + 1] = (kap_s[h] - kap_s[:h + 1]) + rest
+    return float(kap_s[h] + rest), gap
 
 
 def _water_level(kap, b, p, weight=1.0):
@@ -105,28 +111,37 @@ def _solve_relaxation(instance: Instance, kappa, avail_mask):
     idx = np.flatnonzero(avail_mask)
     if idx.size == 0:
         raise ValueError("no available resource can carry the demand")
-    b = instance.copy_b[idx]
-    p = instance.copy_p[idx]
     kap = np.asarray(kappa, dtype=float)[idx]
-
     order = _stable_argsort(kap)
     kap_s = kap[order]
-    b_s = b[order]
-    p_s = p[order]
+    sel = idx[order]
+    b_s = instance.copy_b[sel]
+    p_s = instance.copy_p[sel]
     shift = kap_s[0]
     rel = kap_s - shift
 
     if np.all(p_s == 1.0):
-        lam = _scan_linear(rel, b_s)
+        lam, gap = _scan_linear(rel, b_s)
     else:
         lam = _water_level(rel, b_s, p_s)
+        gap = lam - rel
     # the clamp zeroes every copy priced at or above the level
-    x_s = _ginv(lam - rel, b_s, p_s)
+    x_s = _ginv(gap, b_s, p_s)
     obj = float((b_s * x_s ** (1.0 + p_s) + kap_s * x_s).sum())
 
     x = np.zeros(instance.q)
-    x[idx[order]] = x_s
+    x[sel] = x_s
     return lam + shift, x, obj
+
+
+def _copy_mask(instance: Instance, indices):
+    """Mask of the copies in ``indices``; raises ValueError on an index out of range."""
+    mask = np.zeros(instance.q, dtype=bool)
+    for i in indices:
+        if not 0 <= int(i) < instance.q:
+            raise ValueError(f"copy index {i} out of range [0, {instance.q})")
+        mask[int(i)] = True
+    return mask
 
 
 def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
@@ -140,19 +155,24 @@ def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (instance.q,):
         raise ValueError(f"kappa must have length {instance.q}, got {kappa.shape}")
-    if available is None:
-        mask = np.ones(instance.q, dtype=bool)
-    else:
-        mask = np.zeros(instance.q, dtype=bool)
-        for i in available:
-            if not 0 <= int(i) < instance.q:
-                raise ValueError(f"copy index {i} out of range [0, {instance.q})")
-            mask[int(i)] = True
+    mask = np.ones(instance.q, bool) if available is None else _copy_mask(instance, available)
     if np.any(~np.isfinite(kappa[mask])) or np.any(kappa[mask] < 0.0):
         raise ValueError("kappa must be finite and >= 0 on available copies")
     lam, x, obj = _solve_relaxation(instance, kappa, mask)
     support = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
     return DualResult(lam=float(lam), support=support, x=x, bound=obj, h=len(support))
+
+
+def _node_relaxation(instance: Instance, on_mask, avail_mask):
+    """Priced relaxation of a node; returns (lam, dense fractions, bound).
+
+    Copies in ``on_mask`` are already paid for: priced at 0, their fixed
+    costs added to the bound.  Every other copy in ``avail_mask`` is priced
+    at its own fixed cost.
+    """
+    fees = instance.copy_fixed_cost
+    lam, x, obj = _solve_relaxation(instance, np.where(on_mask, 0.0, fees), avail_mask)
+    return lam, x, obj + float(fees @ on_mask)
 
 
 def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -> DualResult:
@@ -163,22 +183,10 @@ def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -
     priced at its own fixed cost.  The bound is monotone in both sets, and at
     the root (both empty) it equals the Lagrangean dual optimum.
     """
-    on = frozenset(int(i) for i in fixed_on)
-    off = frozenset(int(i) for i in fixed_off)
-    if on & off:
-        raise ValueError(f"copies fixed both on and off: {sorted(on & off)}")
-    for i in on | off:
-        if not 0 <= i < instance.q:
-            raise ValueError(f"copy index {i} out of range [0, {instance.q})")
-    kappa = instance.copy_fixed_cost.copy()
-    on_idx = np.asarray(sorted(on), dtype=np.intp)
-    kappa[on_idx] = 0.0
-    mask = np.ones(instance.q, dtype=bool)
-    mask[np.asarray(sorted(off), dtype=np.intp)] = False
-    if not mask.any():
-        raise ValueError("no available resource can carry the demand")
-    lam, x, obj = _solve_relaxation(instance, kappa, mask)
+    on_mask = _copy_mask(instance, fixed_on)
+    off_mask = _copy_mask(instance, fixed_off)
+    if np.any(on_mask & off_mask):
+        raise ValueError(f"copies fixed both on and off: {np.flatnonzero(on_mask & off_mask)}")
+    lam, x, bound = _node_relaxation(instance, on_mask, ~off_mask)
     support = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
-    bound = obj + float(instance.copy_fixed_cost[on_idx].sum())
     return DualResult(lam=float(lam), support=support, x=x, bound=bound, h=len(support))
-

@@ -21,13 +21,34 @@ from conftest import make_instance, random_corpus
 
 class TestBranchChildren:
     def test_group_branch_counts(self):
+        # group 0 has the larger fixed cost in the first instance and the same
+        # one as group 1 in the second (ties go to the lower index): all 3
+        # free copies of group 0 get fixed either way
+        for rows in ([(5, 1, 3), (1, 2, 2)], [(5, 1, 3), (5, 2, 2)]):
+            inst = make_instance(rows)
+            node = BnbNode(on_counts=(0, 0), off_counts=(0, 0), lower_bound=0.0, depth=0)
+            kids = branch_children(node, inst)
+            assert [(k.on_counts[0], k.off_counts[0]) for k in kids] == [
+                (3, 0), (2, 1), (1, 2), (0, 3)]
+            assert all(k.on_counts[1] == k.off_counts[1] == 0 for k in kids)
+            assert all(k.depth == 1 for k in kids)
+
+    @pytest.mark.parametrize("branching", ["nary", "binary"])
+    def test_children_hold_fresh_arrays(self, branching):
         inst = make_instance([(5, 1, 3), (1, 2, 2)])
-        node = BnbNode(on_counts=(0, 0), off_counts=(0, 0), lower_bound=0.0, depth=0)
-        kids = branch_children(node, inst)
-        # group 0 has the larger fixed cost: all 3 free copies get fixed
-        assert [(k.on_counts[0], k.off_counts[0]) for k in kids] == [
-            (3, 0), (2, 1), (1, 2), (0, 3)]
-        assert all(k.depth == 1 for k in kids)
+        on, off = np.array([1, 0], dtype=np.intp), np.array([0, 1], dtype=np.intp)
+        node = BnbNode(on, off, 0.5, 2)
+        kids = branch_children(node, inst, branching=branching)
+        # the parent's arrays are untouched ...
+        assert node.on_counts is on and node.off_counts is off
+        assert on.tolist() == [1, 0] and off.tolist() == [0, 1]
+        # ... and every child owns both of its arrays
+        arrays = [on, off] + [a for k in kids for a in (k.on_counts, k.off_counts)]
+        for i, a in enumerate(arrays):
+            assert isinstance(a, np.ndarray) and a.dtype == np.intp
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(a, other)
+        assert all(k.lower_bound == 0.5 and k.depth == 3 for k in kids)
 
     def test_binary_branch(self):
         inst = make_instance([(5, 1, 3), (1, 2, 2)])
@@ -104,6 +125,14 @@ class TestSolve:
         # a one-group instance closes at the root, so only the constructor can catch it
         with pytest.raises(ValueError, match="ternary"):
             solve(make_instance([(2, 3)]), SolveOptions(branching="ternary"))
+
+    @pytest.mark.parametrize("limits", [
+        {"node_limit": 0}, {"node_limit": -5},
+        {"time_limit": float("nan")}, {"time_limit": -1.0},
+    ], ids=["nodes-0", "nodes-neg", "time-nan", "time-neg"])
+    def test_bad_limits_rejected_at_construction(self, limits):
+        with pytest.raises(ValueError, match="limit must be"):
+            SolveOptions(**limits)
 
     def test_time_limit_zero(self, ladder3):
         alloc, stats = solve(ladder3, SolveOptions(time_limit=0.0))

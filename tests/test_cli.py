@@ -106,6 +106,25 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "optimum:           1\n" in capsys.readouterr().out
 
+    def test_overflowing_price_file_solves(self, tmp_path, capsys):
+        # kappa/(2b) of the second copy overflows inside the root support
+        path = tmp_path / "huge.txt"
+        path.write_text("latalloc 1\n2 1\n0 1e300 1\n1e299 1e-300 1\n")
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "optimum:           1e+299\n" in out
+        assert "root bound:        9.75e+298\n" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--time-limit", "nan"], ["--time-limit", "-1"],
+        ["--node-limit", "-5"], ["--node-limit", "0"],
+        ["--heuristic-only", "--time-limit", "nan"],
+    ], ids=["time-nan", "time-neg", "nodes-neg", "nodes-0", "heuristic-only"])
+    def test_bad_limit_is_input_error(self, ladder_file, capsys, flags):
+        assert main(["solve", ladder_file, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit must be" in err
+
     def test_large_level_quadratic_file_solves(self, tmp_path):
         # the relaxation level passes 10 000 on this file; the root bound
         # once bisected forever there

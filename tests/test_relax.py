@@ -172,3 +172,12 @@ class TestContinuousRelaxationBound:
         res = continuous_relaxation_bound(make_instance(rows))
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
         assert res.bound == pytest.approx(bound, rel=1e-12)
+
+    def test_overflowing_price_inside_support(self):
+        # kappa/(2b) of the second copy overflows, yet that copy carries 95% of
+        # the load; its offset lam - kappa (1.9e-300) vanishes next to lam = 1e299
+        res = continuous_relaxation_bound(make_instance([(0.0, 1e300), (1e299, 1e-300)]))
+        assert res.x == pytest.approx([0.05, 0.95], rel=1e-12)
+        assert res.lam == pytest.approx(1e299, rel=1e-12)
+        # 1e300 * 0.05**2 + 1e-300 * 0.95**2 + 1e299 * 0.95
+        assert res.bound == pytest.approx(9.75e298, rel=1e-12)
