@@ -10,10 +10,11 @@ multiplicities 1 the two trees coincide.
 Nodes carry per-group (on, off) count arrays, never written once built.  A
 child inherits its parent's bound until popped; it is then either pruned on
 that inherited bound without any work, discarded as infeasible, or priced by
-the continuous relaxation (``relax._node_relaxation``).  When the relaxation
-of a node splits the demand only across committed or fully loaded copies,
-the node is solved: re-solving the restricted problem on the support
-tightens the incumbent and the node closes.
+the continuous relaxation (``relax._node_relaxation``), which sees each
+group as at most two classes: its copies switched on and its free copies.
+When the relaxation of a node splits the demand only across committed or
+fully loaded copies, the node is solved: re-solving the restricted problem
+on the support tightens the incumbent and the node closes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .heuristic import primal_heuristic
 from .kkt import _counts_solve, _counts_to_dense, solve_constant_latency
 from .model import Allocation, Instance
-from .relax import _node_relaxation
+from .relax import _node_classes, _node_relaxation
 
 # A node is pruned when its bound cannot undercut the incumbent by more than
 # this relative slack.
@@ -133,7 +134,7 @@ def solve(instance: Instance, options: SolveOptions | None = None):
                                  wall_time=time.perf_counter() - t0, status="optimal")
 
     mult = instance.group_multiplicities
-    copy_group, copy_pos = instance.copy_group, instance.copy_pos
+    node_classes = _node_classes(instance)
 
     heur = primal_heuristic(instance)
     inc_value = heur.value
@@ -157,21 +158,22 @@ def solve(instance: Instance, options: SolveOptions | None = None):
         node = stack.pop()
         if node.lower_bound >= inc_value - _prune_gap(inc_value):
             continue  # pruned on the inherited bound, no evaluation needed
-        on_mask = copy_pos < node.on_counts[copy_group]
-        avail_mask = copy_pos < (mult - node.off_counts)[copy_group]
-        if not avail_mask.any():
-            continue  # no available copy: infeasible subproblem
-        _, x, bound = _node_relaxation(instance, on_mask, avail_mask)
+        if not (node.off_counts < mult).any():
+            continue  # every copy fixed off: infeasible subproblem
+        _, loads, bound = _node_relaxation(instance, node_classes, node.on_counts,
+                                           node.off_counts)
         stats.bound_evals += 1
         if trace is not None:
             trace.write(f"depth={node.depth} bound={bound:.12g} incumbent={inc_value:.12g}\n")
         if bound >= inc_value - _prune_gap(inc_value):
             continue
-        xf = x[avail_mask & ~on_mask]
-        if np.all((xf <= INTEGRAL_TOL) | (xf >= 1.0 - INTEGRAL_TOL)):
+        x_free = loads[1]
+        if not ((x_free > INTEGRAL_TOL) & (x_free < 1.0 - INTEGRAL_TOL)).any():
             # relaxation already integral for the free copies: close the node
             # by re-solving exactly on its support
-            counts = np.bincount(copy_group[x > 0.0], minlength=nG)
+            free = mult - node.on_counts - node.off_counts
+            counts = (np.where(loads[0] > 0.0, node.on_counts, 0)
+                      + np.where(x_free > 0.0, free, 0))
             _, x_groups, exact = _counts_solve(instance, counts)
             if exact < inc_value:
                 inc_value = exact

@@ -3,18 +3,21 @@
 Once the set of activated copies is chosen, splitting the unit of demand is a
 convex program whose stationarity conditions equalize the load-cost marginals
 across used copies at a common level lam.  For a shared power exponent the
-level has a closed form; mixed exponents bisect for it with the same
-water-level kernel that solves the priced relaxation.
+level has a closed form.  Mixed exponents solve for it with the level kernel
+of the priced relaxation: every active group is one class priced at 0 whose
+weight is its count, so the support search is empty and safeguarded Newton
+finds the level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Allocation, Instance
-from .relax import _ginv, _water_level
+from .relax import _level
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,17 +44,22 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
     p = instance.group_p[active]
     c = instance.group_fixed_costs[active]
 
-    if np.all(p == p[0]):
+    if (p == p[0]).all():
         pe = float(p[0])
         w = (b * (1.0 + pe)) ** (-1.0 / pe)
-        denom = float(k @ w)
-        lam = denom ** (-pe)
+        # k @ w can pass the float range when b is tiny; sum w in units of a
+        # power of two just below its largest entry (1 unless that entry is 2
+        # or more), so every product scales exactly
+        unit = 2.0 ** max(0, math.frexp(float(w.max()))[1] - 1)
+        w /= unit
+        lam = float(k @ w) ** (-pe)
         x_act = lam ** (1.0 / pe) * w
+        lam *= unit ** -pe
     else:
-        # every active copy of group g carries g_inv(lam), so group g counts k_g times
-        lam = _water_level(0.0, b, p, weight=k)
-        x_act = _ginv(lam, b, p)
-        # remove the bisection residual from the simplex constraint
+        # every active copy of group g carries the same load, so group g is one
+        # class of weight k_g
+        lam, x_act = _level(np.zeros(k.size), b, p, k)
+        # remove the residual of the last Newton step from the simplex constraint
         x_act *= 1.0 / float(k @ x_act)
 
     value = float(k @ c + k @ (b * x_act ** (1.0 + p)))

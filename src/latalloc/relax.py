@@ -1,33 +1,38 @@
-"""Lower bounds from the continuous relaxation, solved by kappa-ordering.
+"""Lower bounds from the continuous relaxation, solved over sorted weighted classes.
 
 Replacing each activation charge c_i * y_i by a per-unit price kappa_i * x_i
 leaves a convex splitting problem whose optimum prices every used copy at a
-common marginal level lam, with copy i used iff kappa_i < lam.  Subtracting
-the cheapest price from every price moves the objective by exactly that
-constant on the simplex, so both kernels solve in shifted prices (the
-cheapest copy at 0) and add the shift back to lam.
+common marginal level lam, with copy i used iff kappa_i < lam.  Copies with
+the same price and latency carry the same load, so the solver works on
+classes (price kappa, b, p, weight = number of copies) sorted by price.
+Subtracting the cheapest price from every price moves the objective by
+exactly that constant on the simplex, so the kernels solve in shifted prices
+(the cheapest class at 0) and add the shift back to lam.
 
-With linear latencies copy i carries (lam - kappa_i)/(2 b_i), so raising
-the level from kappa_{h-1} to kappa_h over the h cheapest copies pours
-W_{h-1} (kappa_h - kappa_{h-1}) of demand, where W_h = sum_{i<=h} 1/(2 b_i).
-The demand D_h needed to reach kappa_h is nondecreasing in h, so the support
-is the prefix with D_h < 1, ties included, and the level is
-kappa_h + (1 - D_h)/W_h on its last copy: one prefix-sum pass after the
-single sort.  The offsets lam - kappa_i are built from that share, not from
-lam, so they keep their precision even where lam dwarfs them.  Other
-exponents bisect for the clamped level over all available copies
-(``_water_level``); the restricted solves in ``kkt`` reuse the same kernel
-for mixed exponents.
+The demand D_m poured before the level reaches breakpoint kappa_m is
+nondecreasing in m, so the support is the prefix of classes with D_m < 1,
+ties included.  With linear latencies class i carries (lam - kappa_i)/(2 b_i)
+per copy, so D_m is a prefix sum and the level on the last interval has a
+closed form: one pass after the sort (``_scan_linear``).  Other exponents
+(``_level``) find the last class of the support by bisecting over the class
+index, one pass over the prefix per probe, then solve the last interval by
+safeguarded Newton in z = (lam - kappa_h)^(1/P), where the cheapest load term
+is linear.  Together with the sort that is O(n log n) per bound.  Both
+kernels build the offsets lam - kappa_i from the share poured into the last
+interval, not from lam, so the loads keep their precision where lam dwarfs
+them.  The restricted solves in ``kkt`` reuse ``_level`` for mixed exponents.
 
 Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
 the same machinery a node bound for branch and bound (``_node_relaxation``,
-the one place that rule is written); at the root this equals the best
-Lagrangean dual bound, which is attained at multipliers equal to the fixed
-costs.
+the one place that rule is written).  There a group is at most two classes,
+its on copies and its free copies, laid out by ``_node_classes`` in a fee
+order sorted once per search.  At the root this equals the best Lagrangean dual bound, which is
+attained at multipliers equal to the fixed costs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,87 +55,134 @@ def _stable_argsort(values):
     return np.argsort(values, kind="stable")
 
 
-def _ginv(t, b, p):
-    """Vectorized marginal inverse for power families, clamped at zero."""
-    t = np.maximum(t, 0.0)
-    return (t / (b * (1.0 + p))) ** (1.0 / p)
+def _scan_linear(kap, b, w, unit=1.0):
+    """Level lam and per-copy loads of the support for linear classes sorted by shifted price.
 
-
-def _scan_linear(kap_s, b_s):
-    """Level lam and offsets lam - kappa for linear copies sorted by shifted price.
-
-    ``kap_s`` is ascending with ``kap_s[0] == 0``, so the first copy always
-    passes.  Copy h passes iff the demand D_h poured before the level reaches
-    kappa_h is below 1; the first failing copy and every later one get
-    offset 0.
+    ``kap`` is ascending with ``kap[0] == 0``, so the first class always
+    passes.  Class h passes iff the demand D_h poured before the level
+    reaches kappa_h is below 1; the loads cover the classes up to the last
+    passing one, every later class carries 0.  The demand is counted in
+    ``unit``; where a fill w / (2b) of the support passes the float range the
+    scan repeats in units of 2**-128, a power-of-two scaling.
     """
-    with np.errstate(over="ignore"):
-        # sums past the first failing copy may overflow; the scan never reads them
-        fill = (0.5 / b_s).cumsum()
-        demand = (fill[:-1] * (kap_s[1:] - kap_s[:-1])).cumsum()
-    # demand is nondecreasing, so the first failing copy is found by bisection
-    h = int(demand.searchsorted(1.0))
-    rest = (1.0 - (demand[h - 1] if h else 0.0)) / fill[h]
-    gap = np.zeros(kap_s.size)
-    gap[:h + 1] = (kap_s[h] - kap_s[:h + 1]) + rest
-    return float(kap_s[h] + rest), gap
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sums past the first failing class may overflow; the scan never reads them
+        fill = (w * (0.5 * unit) / b).cumsum()
+        demand = (fill[:-1] * (kap[1:] - kap[:-1])).cumsum()
+    # demand is nondecreasing, so the first failing class is found by bisection
+    h = int(demand.searchsorted(unit))
+    if fill[h] == math.inf and unit == 1.0:
+        return _scan_linear(kap, b, w, 2.0 ** -128)
+    rest = (unit - (demand[h - 1] if h else 0.0)) / fill[h]
+    return float(kap[h] + rest), ((kap[h] - kap[:h + 1]) + rest) / (2.0 * b[:h + 1])
 
 
-def _water_level(kap, b, p, weight=1.0):
-    """Level lam at which sum weight * ginv(lam - kap) over all copies reaches 1.
+def _level(kap, b, p, w):
+    """Level lam where sum w * ginv(lam - kap) reaches 1, and the support's per-copy loads.
 
-    ``kap`` holds shifted prices, min kap == 0.  The sum is continuous and
-    nondecreasing in lam, zero at 0, and at least 1 at max b(1+p), where the
-    cheapest copy alone carries a full unit (every weight is >= 1).
-    Bisection on that bracket runs until the midpoint no longer lies
-    strictly between the ends, i.e. to float resolution; an absolute width
-    would be finer than the float spacing once lam is large and would never
-    be reached.  Returns the upper end.
+    ``kap`` holds shifted prices in ascending order, ``kap[0] == 0``, and
+    every weight is >= 1.  Class i alone carries w_i >= 1 once the level
+    reaches kappa_i + b_i(1+p_i), so no class priced above the least such
+    level is in the support; one priced at it is probed, as that sum may
+    round down to its price.  Below that the last class h of the support
+    is found by bisection over the breakpoint demands; classes tied with
+    the cheapest one pass without a probe.
     """
     curve = b * (1.0 + p)
-    lo = 0.0
-    hi = float(np.max(curve))
     scale = 1.0 / curve
     root = 1.0 / p
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return hi
-        if float((weight * (np.maximum(mid - kap, 0.0) * scale) ** root).sum()) < 1.0:
-            lo = mid
+    top = int(kap.searchsorted((kap + curve).min(), "right"))
+    h = int(kap.searchsorted(0.0, "right")) - 1
+    fail, poured = top, 0.0
+    while fail - h > 1:
+        m = (h + fail) // 2
+        demand = float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum())
+        if demand < 1.0:
+            h, poured = m, demand
         else:
-            hi = mid
+            fail = m
+    n = h + 1
+    d = kap[h] - kap[:n]
+    tied = d == 0.0
+    big_p = float(p[:n][tied].max())
+    lead = tied & (p[:n] == big_p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # tied classes with exponent P carry z * scale**(1/P) each; the other
+        # terms only grow from the demand already poured, so this z bounds the
+        # root above
+        lin = float((w[:n] * scale[:n] ** (1.0 / big_p))[lead].sum())
+        if lin < math.inf:
+            z = (1.0 - poured) / lin
+        else:
+            # a tiny b overflows lin; one copy of a lead class alone carries a
+            # full unit at z = curve**(1/P)
+            z = float(curve[:n][lead].min()) ** (1.0 / big_p)
+        if n < kap.size:
+            z = min(z, float(kap[n] - kap[h]) ** (1.0 / big_p))
+        # a tied term has g == 0 where z**P underflows; its nan step bisects
+        z, x = _newton_z(d, scale[:n], root[:n], w[:n], big_p, z)
+    return float(kap[h] + z ** big_p), x
 
 
-def _solve_relaxation(instance: Instance, kappa, avail_mask):
-    """Core relaxation solve over the available copies.
+def _newton_z(d, scale, root, w, big_p, z):
+    """Root of sum w ((d + z**P) scale)**root = 1 in [0, z]; the sum is >= 1 at z.
 
-    Returns (lam, dense fractions, objective sum of x*f(x) + kappa*x).
-    Performs exactly one stable sort of the available kappa entries.
+    Newton inside a kept bracket: a step that leaves the bracket or does not
+    halve the step before it becomes a bisection.  An exact hit returns at
+    once.  Once converged the upper end, whose demand is >= 1, is returned
+    with its per-copy loads; a point converged from below first probes
+    above itself until the demand reaches 1.
     """
-    idx = np.flatnonzero(avail_mask)
-    if idx.size == 0:
+    w = np.asarray(w, dtype=float)
+    w_root = w * root
+    lo, hi, x_hi, last, probe = 0.0, z, None, math.inf, 0.0
+    while True:
+        zp = z ** big_p
+        g = d + zp
+        x = (g * scale) ** root
+        f = float(w @ x) - 1.0
+        if f == 0.0 or (f < 0.0 and x_hi is None):
+            # exact hit, or the starting bound is the root to rounding
+            return z, x
+        if f > 0.0:
+            hi, x_hi = z, x
+        else:
+            lo = z
+        # f over the slope, written with zp / g <= 1 so that the slope's own
+        # overflow at a tiny b cannot reach it
+        step = f * z / (big_p * float(w_root @ (x * (zp / g))))
+        # converged once the step is within 2 ulp of z or the demand within
+        # 2 ulp of 1, below which its rounding hides the sign of f
+        if abs(step) <= 2.0 * math.ulp(z) or abs(f) <= 2.0 * math.ulp(1.0):
+            if f > 0.0:
+                return hi, x_hi
+            # just below the root: probe above it, doubling the probe each time
+            probe = max(2.0 * probe, -2.0 * step, 2.0 * math.ulp(z))
+            step = -probe
+        elif not lo < z - step < hi or abs(2.0 * step) > last:
+            step = z - (lo + 0.5 * (hi - lo))
+        if not lo < z - step < hi:
+            return hi, x_hi
+        last = abs(step)
+        z -= step
+
+
+def _solve_classes(kap, b, p, w):
+    """Relaxation over classes sorted by price.
+
+    Returns (lam, per-copy loads of the support, objective); the support is
+    the first ``len(loads)`` classes.
+    """
+    if kap.size == 0:
         raise ValueError("no available resource can carry the demand")
-    kap = np.asarray(kappa, dtype=float)[idx]
-    order = _stable_argsort(kap)
-    kap_s = kap[order]
-    sel = idx[order]
-    b_s = instance.copy_b[sel]
-    p_s = instance.copy_p[sel]
-    shift = kap_s[0]
-    rel = kap_s - shift
-
-    if np.all(p_s == 1.0):
-        lam, gap = _scan_linear(rel, b_s)
+    shift = kap[0]
+    # every p is >= 1, so the classes are linear iff the largest p is 1
+    if p.max() == 1.0:
+        lam, x = _scan_linear(kap - shift, b, w)
     else:
-        lam = _water_level(rel, b_s, p_s)
-        gap = lam - rel
-    # the clamp zeroes every copy priced at or above the level
-    x_s = _ginv(gap, b_s, p_s)
-    obj = float((b_s * x_s ** (1.0 + p_s) + kap_s * x_s).sum())
-
-    x = np.zeros(instance.q)
-    x[sel] = x_s
+        lam, x = _level(kap - shift, b, p, w)
+    n = x.size
+    obj = float(w[:n] @ (b[:n] * x ** (1.0 + p[:n]) + kap[:n] * x))
     return lam + shift, x, obj
 
 
@@ -150,7 +202,8 @@ def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
     ``kappa`` is a length-q vector of nonnegative per-copy prices;
     ``available`` restricts the splitting to a subset of copy indices
     (default: all).  The support of the optimum is the set of copies whose
-    price lies strictly below the returned marginal level.
+    price lies strictly below the returned marginal level.  Each copy is
+    one class of weight 1.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (instance.q,):
@@ -158,21 +211,51 @@ def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
     mask = np.ones(instance.q, bool) if available is None else _copy_mask(instance, available)
     if np.any(~np.isfinite(kappa[mask])) or np.any(kappa[mask] < 0.0):
         raise ValueError("kappa must be finite and >= 0 on available copies")
-    lam, x, obj = _solve_relaxation(instance, kappa, mask)
-    support = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
+    idx = np.flatnonzero(mask)
+    sel = idx[_stable_argsort(kappa[idx])]
+    lam, x_s, obj = _solve_classes(kappa[sel], instance.copy_b[sel], instance.copy_p[sel],
+                                   np.ones(sel.size))
+    x = np.zeros(instance.q)
+    x[sel[:x_s.size]] = x_s
+    support = frozenset(np.flatnonzero(x > 0.0).tolist())
     return DualResult(lam=float(lam), support=support, x=x, bound=obj, h=len(support))
 
 
-def _node_relaxation(instance: Instance, on_mask, avail_mask):
-    """Priced relaxation of a node; returns (lam, dense fractions, bound).
+def _node_classes(instance: Instance):
+    """The 2 * n_groups classes of a node relaxation, sorted by price once per search.
 
-    Copies in ``on_mask`` are already paid for: priced at 0, their fixed
-    costs added to the bound.  Every other copy in ``avail_mask`` is priced
-    at its own fixed cost.
+    Class g < n_groups holds the copies of group g already switched on,
+    priced at 0; class n_groups + j the free copies of the group with the
+    j-th smallest fixed cost (ties in group order), priced at that cost.
+    Returns (order, slot, price, b, p): the groups in fee order, and per
+    class its place in the flattened loads of ``_node_relaxation``.
     """
-    fees = instance.copy_fixed_cost
-    lam, x, obj = _solve_relaxation(instance, np.where(on_mask, 0.0, fees), avail_mask)
-    return lam, x, obj + float(fees @ on_mask)
+    n = len(instance.groups)
+    order = np.argsort(instance.group_fixed_costs, kind="stable")
+    group = np.concatenate((np.arange(n), order))
+    slot = np.concatenate((np.arange(n), n + order))
+    price = np.concatenate((np.zeros(n), instance.group_fixed_costs[order]))
+    return order, slot, price, instance.group_b[group], instance.group_p[group]
+
+
+def _node_relaxation(instance: Instance, classes, on_counts, off_counts):
+    """Priced relaxation of a node over the ``classes`` of ``_node_classes(instance)``.
+
+    The ``on_counts[g]`` copies of group g that are on are already paid
+    for: priced at 0, their fixed costs added to the bound.  Its free
+    copies, neither on nor off, are priced at the group's fixed cost.
+    Returns (lam, loads, bound): ``loads[0, g]`` is the load on each on
+    copy of group g, ``loads[1, g]`` the load on each of its free copies.
+    """
+    order, slot, price, b, p = classes
+    on = np.asarray(on_counts, dtype=np.intp)
+    free = instance.group_multiplicities - on - off_counts
+    weights = np.concatenate((on, free[order]))
+    live = weights.nonzero()[0]
+    lam, x, obj = _solve_classes(price[live], b[live], p[live], weights[live])
+    loads = np.zeros(2 * on.size)
+    loads[slot[live[:x.size]]] = x
+    return lam, loads.reshape(2, on.size), obj + float(instance.group_fixed_costs @ on)
 
 
 def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -> DualResult:
@@ -180,13 +263,19 @@ def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -
 
     Copies in ``fixed_on`` are paid for (price 0, their c added to the bound),
     copies in ``fixed_off`` are excluded, and every remaining free copy is
-    priced at its own fixed cost.  The bound is monotone in both sets, and at
-    the root (both empty) it equals the Lagrangean dual optimum.
+    priced at its own fixed cost.  Only the number of copies per group in
+    each set matters.  The bound is monotone in both sets, and at the root
+    (both empty) it equals the Lagrangean dual optimum.
     """
     on_mask = _copy_mask(instance, fixed_on)
     off_mask = _copy_mask(instance, fixed_off)
-    if np.any(on_mask & off_mask):
+    if (on_mask & off_mask).any():
         raise ValueError(f"copies fixed both on and off: {np.flatnonzero(on_mask & off_mask)}")
-    lam, x, bound = _node_relaxation(instance, on_mask, ~off_mask)
-    support = frozenset(int(i) for i in np.flatnonzero(x > 0.0))
+    group = instance.copy_group
+    n_groups = len(instance.groups)
+    lam, loads, bound = _node_relaxation(
+        instance, _node_classes(instance), np.bincount(group[on_mask], minlength=n_groups),
+        np.bincount(group[off_mask], minlength=n_groups))
+    x = np.where(on_mask, loads[0, group], np.where(off_mask, 0.0, loads[1, group]))
+    support = frozenset(np.flatnonzero(x > 0.0).tolist())
     return DualResult(lam=float(lam), support=support, x=x, bound=bound, h=len(support))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latalloc
-from latalloc import Instance, PowerLatency, ResourceGroup, generate_random
+from latalloc import Instance, PowerLatency, ResourceGroup, generate_base, generate_random
 
 # Wall-clock cap for calls that once looped forever; a regression fails the
 # test through subprocess.TimeoutExpired instead of hanging the whole suite.
@@ -57,3 +57,9 @@ def random_corpus(count, q_lo, q_hi, seed0, **kw):
     for s in range(count):
         q = q_lo + (s * 7) % (q_hi - q_lo + 1)
         yield generate_random(q, seed=seed0 + s, **kw)
+
+
+def exactness_instances():
+    """The gate-1 corpus: 200 random instances with q = 2..12 and the ladders q = 1..12."""
+    return ([generate_random(2 + s % 11, seed=2000 + s) for s in range(200)]
+            + [generate_base(q) for q in range(1, 13)])

@@ -28,7 +28,7 @@ from latalloc import (
     solve_restricted,
 )
 
-from conftest import assert_kkt, make_instance
+from conftest import assert_kkt, exactness_instances, make_instance
 
 
 def _report(ok, line):
@@ -43,14 +43,7 @@ def _rel(err, ref):
 @lru_cache(maxsize=1)
 def _exactness_corpus():
     """(instance, enumerated optimum) pairs shared by gates 1, 2 and 8."""
-    pairs = []
-    for s in range(200):
-        inst = generate_random(2 + s % 11, seed=2000 + s)
-        pairs.append((inst, brute_force_optimum(inst).value))
-    for q in range(1, 13):
-        inst = generate_base(q)
-        pairs.append((inst, brute_force_optimum(inst).value))
-    return pairs
+    return [(inst, brute_force_optimum(inst).value) for inst in exactness_instances()]
 
 
 def test_criterion_1_exact_solver_matches_enumeration():

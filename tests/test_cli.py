@@ -115,6 +115,21 @@ class TestSolve:
         assert "optimum:           1e+299\n" in out
         assert "root bound:        9.75e+298\n" in out
 
+    def test_overflowing_slopes_file_solves(self, tmp_path, capsys):
+        # 1/(2b) of the first two resources sum past the float range in every
+        # restricted solve that activates both
+        path = tmp_path / "steep.txt"
+        path.write_text("latalloc 1\n3 1\n1 3e-309 1\n2 4e-309 1\n3 1 1\n")
+        assert main(["solve", str(path)]) == 0
+        assert "optimum:           1\n" in capsys.readouterr().out
+
+    def test_overflowing_group_fill_file_solves(self, tmp_path, capsys):
+        # 2 copies / (2 * 3e-309) passes the float range in the linear scan
+        path = tmp_path / "steep2.txt"
+        path.write_text("latalloc 1\n2 1\n1 3e-309 2\n2 1 1\n")
+        assert main(["solve", str(path)]) == 0
+        assert "optimum:           1\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags", [
         ["--time-limit", "nan"], ["--time-limit", "-1"],
         ["--node-limit", "-5"], ["--node-limit", "0"],

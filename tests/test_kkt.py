@@ -69,6 +69,19 @@ class TestSolveRestricted:
         assert 40000.0 * x0 == pytest.approx(lam, rel=1e-9)
         assert 90000.0 * x1 ** 2 == pytest.approx(lam, rel=1e-9)
 
+    def test_overflowing_slopes_split_finitely(self):
+        # 1/(2b) of the two cheap copies sum past the float range; the split
+        # follows the ratio of their slopes, 1/3e-309 : 1/4e-309 = 4 : 3
+        inst = Instance.from_groups([
+            ResourceGroup(1.0, PowerLatency(3e-309, 1.0)),
+            ResourceGroup(2.0, PowerLatency(4e-309, 1.0)),
+            ResourceGroup(3.0, PowerLatency(1.0, 1.0)),
+        ])
+        res = solve_restricted(inst, [0, 1])
+        assert res.x == pytest.approx([4.0 / 7.0, 3.0 / 7.0, 0.0], rel=1e-12)
+        assert res.value == pytest.approx(3.0, rel=1e-12)
+        assert res.lam == pytest.approx(6e-309 * 4.0 / 7.0, rel=1e-9)
+
     def test_empty_active_set_rejected(self, ladder3):
         with pytest.raises(ValueError):
             solve_restricted(ladder3, [])

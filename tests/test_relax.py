@@ -1,4 +1,4 @@
-"""Priced-relaxation solver (sorted prefix search) and the node bound built on it."""
+"""Priced-relaxation solver (level kernel over sorted weighted classes) and the node bound built on it."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from latalloc import (
     solve,
 )
 
-from conftest import assert_kkt, make_instance, random_corpus, run_isolated
+from conftest import (assert_kkt, exactness_instances, make_instance, random_corpus,
+                      run_isolated)
 
 
 class TestOrderingAlgorithm:
@@ -77,6 +78,8 @@ class TestOrderingAlgorithm:
             ordering_algorithm(inst, np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             ordering_algorithm(inst, np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="out of range"):
+            ordering_algorithm(inst, np.ones(2), available=[2**70])
 
     def test_mixed_exponents(self):
         inst = make_instance([(1, 2), (1, 3)], exponent=1.0)
@@ -138,6 +141,8 @@ class TestContinuousRelaxationBound:
             continuous_relaxation_bound(ladder3, fixed_on=[0], fixed_off=[0])
         with pytest.raises(ValueError):
             continuous_relaxation_bound(ladder3, fixed_on=[7])
+        with pytest.raises(ValueError, match="out of range"):
+            continuous_relaxation_bound(ladder3, fixed_on=[2**70])
 
     def test_bounds_monotone_under_fixing(self):
         for inst in random_corpus(15, 3, 9, 620):
@@ -181,3 +186,141 @@ class TestContinuousRelaxationBound:
         assert res.lam == pytest.approx(1e299, rel=1e-12)
         # 1e300 * 0.05**2 + 1e-300 * 0.95**2 + 1e299 * 0.95
         assert res.bound == pytest.approx(9.75e298, rel=1e-12)
+
+
+def _reference_level(kap, b, p, w):
+    """Level where sum w ((lam - kap)+ / (b(1+p)))**(1/p) reaches 1, by plain bisection on lam."""
+    curve = b * (1.0 + p)
+    lo, hi = 0.0, float((kap + curve).min())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if (w * (np.maximum(mid - kap, 0.0) / curve) ** (1.0 / p)).sum() < 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _check_classes(kap, b, p, w):
+    """The class kernel against the reference bisection and the projected-gradient oracle."""
+    kap, b, p, w = (np.asarray(a, dtype=float) for a in (kap, b, p, w))
+    lam, x, obj = relax._solve_classes(kap, b, p, w)
+    assert lam == pytest.approx(_reference_level(kap, b, p, w), rel=1e-9)
+    # the loads cover a prefix of the classes and fill exactly one unit
+    n = x.size
+    assert 1 <= n <= kap.size and np.all(x > 0.0)
+    assert float(w[:n] @ x) == pytest.approx(1.0, abs=1e-12)
+    # every class in the support sits at the level, every class priced below it is in
+    marginal = b[:n] * (1.0 + p[:n]) * x ** p[:n] + kap[:n]
+    assert marginal == pytest.approx(np.full(n, lam), rel=1e-9)
+    assert np.all(kap[n:] >= lam * (1.0 - 1e-9))
+    # copies of a class are identical, so the oracle sees each class w times;
+    # the oracle reads no fixed cost, which here only keeps the groups apart
+    inst = Instance.from_groups([ResourceGroup(float(i), PowerLatency(float(b[i]), float(p[i])),
+                                               int(w[i])) for i in range(kap.size)])
+    assert obj == pytest.approx(numeric_relaxation(inst, np.repeat(kap, w.astype(int))),
+                                rel=1e-9)
+
+
+class TestClassKernel:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_random_classes(self, seed, n):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # multiples of 1/8 make tied prices common
+        kap = np.sort(np.round(rng.uniform(0.0, 3.0, n) * 8.0) / 8.0)
+        _check_classes(kap - kap[0], rng.uniform(0.2, 9.0, n),
+                       rng.choice([1.0, 1.5, 2.0], n), rng.integers(1, 5, n))
+
+    @pytest.mark.parametrize("kap, b, p, w", [
+        # class 0 alone carries one unit at lam = b(1+p) = 2.5, the next price
+        ([0.0, 2.5], [1.0, 3.0], [1.5, 2.0], [1, 2]),
+        ([0.0, 3.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 2.0], [1, 1, 1]),
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1.0, 1.5, 2.0], [2, 1, 3]),
+        ([0.0], [2.0], [1.5], [3]),
+        ([0.0, 0.01, 0.02, 0.03], [1.0, 1.0, 1.0, 1.0], [2.0, 1.5, 2.0, 1.0], [1, 2, 1, 1]),
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0], [3, 1, 2, 1]),
+    ], ids=["root-on-breakpoint", "root-on-tied-breakpoint", "mixed-ties-at-zero",
+            "single-class", "all-in-support", "linear-weighted"])
+    def test_cases(self, kap, b, p, w):
+        _check_classes(kap, b, p, w)
+
+    def test_root_on_breakpoint_is_exact(self):
+        lam, x, _ = relax._solve_classes(np.array([0.0, 2.5]), np.array([1.0, 3.0]),
+                                         np.array([1.5, 2.0]), np.array([1, 2]))
+        assert lam == pytest.approx(2.5, rel=1e-15)
+        assert x.tolist() == pytest.approx([1.0], rel=1e-15)
+
+    def test_load_far_below_the_price_spacing(self):
+        # the p=50 copy carries 0.336 at a level 1e-22 above its price 1, far
+        # below the float spacing there; an absolute level gave it 0.443 and a
+        # total load of 1.107
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1.0, 50.0)),
+                                     ResourceGroup(2.0, PowerLatency(3.0, 1.0), 2),
+                                     ResourceGroup(0.5, PowerLatency(2.0, 9.0))])
+        res = continuous_relaxation_bound(inst)
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert res.bound == pytest.approx(numeric_relaxation(inst, inst.copy_fixed_cost),
+                                          rel=1e-9)
+
+    def test_curve_below_the_price_spacing(self):
+        # 0.5 + b(1+p) rounds to 0.5, the next price: the copies priced there
+        # are still in the support and carry 0.25 each
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-20, 1.5), 3),
+                                     ResourceGroup(0.5, PowerLatency(1.0, 1.0))])
+        res = continuous_relaxation_bound(inst)
+        assert res.x.tolist() == pytest.approx([0.25] * 4, rel=1e-12)
+        assert res.bound == pytest.approx(numeric_relaxation(inst, inst.copy_fixed_cost),
+                                          rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_overflowing_group_fill(self, p):
+        # the two cheap copies fill w/(2b) = 2/6e-309, past the float range;
+        # each carries half the unit
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(3e-309, 1.0), 2),
+                                     ResourceGroup(2.0, PowerLatency(1.0, p))])
+        res = continuous_relaxation_bound(inst)
+        assert res.x.tolist() == pytest.approx([0.5, 0.5, 0.0], rel=1e-12)
+        assert res.bound == pytest.approx(1.0, rel=1e-12)
+        assert continuous_relaxation_bound(inst, [0, 1]).bound == pytest.approx(2.0, rel=1e-12)
+        alloc, stats = solve(inst)
+        assert alloc.value == pytest.approx(1.0, rel=1e-12) and stats.status == "optimal"
+
+
+def _spread(rng, inst, on, off):
+    """Copy sets with on[g] and off[g] copies of each group at random positions."""
+    fixed_on, fixed_off = [], []
+    for g, start in enumerate(inst.group_offsets[:-1]):
+        pos = start + rng.permutation(inst.groups[g].multiplicity)
+        fixed_on += pos[:on[g]].tolist()
+        fixed_off += pos[on[g]:on[g] + off[g]].tolist()
+    return fixed_on, fixed_off
+
+
+def test_group_classes_match_one_class_per_copy():
+    # the node bound works on per-group counts; pricing every copy as its own
+    # class (ordering_algorithm) must give the same bound and support, wherever
+    # inside its group a fixed copy sits
+    rng = np.random.Generator(np.random.PCG64(66))
+    for inst in exactness_instances():
+        mult = inst.group_multiplicities
+        on = rng.integers(0, mult + 1)
+        off = np.minimum(rng.integers(0, mult + 1), mult - on)
+        if not np.any(off < mult):
+            off[0] -= 1
+        group, pos = inst.copy_group, inst.copy_pos
+        front = (np.flatnonzero(pos < on[group]).tolist(),
+                 np.flatnonzero(pos >= (mult - off)[group]).tolist())
+        for fixed_on, fixed_off in (front, _spread(rng, inst, on, off)):
+            res = continuous_relaxation_bound(inst, fixed_on, fixed_off)
+            kappa = inst.copy_fixed_cost.copy()
+            kappa[fixed_on] = 0.0
+            avail = sorted(set(range(inst.q)) - set(fixed_off))
+            ref = ordering_algorithm(inst, kappa, available=avail)
+            paid = float(inst.copy_fixed_cost[fixed_on].sum())
+            assert res.bound == pytest.approx(ref.bound + paid, rel=1e-12)
+            assert res.x == pytest.approx(ref.x, abs=1e-12)
+            counts = np.bincount(group[sorted(res.support)], minlength=mult.size)
+            assert counts.tolist() == np.bincount(group[sorted(ref.support)],
+                                                  minlength=mult.size).tolist()
