@@ -148,6 +148,10 @@ def cmd_solve(args) -> int:
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as err:
+        # the copy arrays of an instance with a huge multiplicity
+        print(f"error: instance too large (q={instance.q}): {err}", file=sys.stderr)
+        return EXIT_INPUT
     _emit(report, args.format)
     return EXIT_OK if report.status in ("optimal", "heuristic") else EXIT_LIMIT
 

@@ -5,8 +5,8 @@ convex program whose stationarity conditions equalize the load-cost marginals
 across used copies at a common level lam.  For a shared power exponent the
 level has a closed form.  Mixed exponents solve for it with the level kernel
 of the priced relaxation: every active group is one class priced at 0 whose
-weight is its count, so the support search is empty and safeguarded Newton
-finds the level.
+weight is its count, so the support search is empty and the kernel's Newton
+iteration in fill units finds the level.
 """
 
 from __future__ import annotations

@@ -14,13 +14,25 @@ nondecreasing in m, so the support is the prefix of classes with D_m < 1,
 ties included.  With linear latencies class i carries (lam - kappa_i)/(2 b_i)
 per copy, so D_m is a prefix sum and the level on the last interval has a
 closed form: one pass after the sort (``_scan_linear``).  Other exponents
-(``_level``) find the last class of the support by bisecting over the class
+(``_level``) find the last class h of the support by bisecting over the class
 index, one pass over the prefix per probe, then solve the last interval by
-safeguarded Newton in z = (lam - kappa_h)^(1/P), where the cheapest load term
-is linear.  Together with the sort that is O(n log n) per bound.  Both
-kernels build the offsets lam - kappa_i from the share poured into the last
-interval, not from lam, so the loads keep their precision where lam dwarfs
-them.  The restricted solves in ``kkt`` reuse ``_level`` for mixed exponents.
+Newton in z, where lam = kappa_h + u z^P:
+
+* P is the largest exponent in the support.  With d_i = kappa_h - kappa_i,
+  class i carries ((d_i + u z^P) / (b_i(1+p_i)))^(1/p_i) per copy, a power
+  P/p_i >= 1 of the P-norm of (d_i^(1/P), u^(1/P) z), so the demand is convex
+  and increasing in z.  Newton started where the demand is >= 1 moves down
+  onto the root and crosses it only by rounding; it needs no bracket.
+* u, the fill unit, is the least b_i(1+p_i) - d_i over the support.  At z = 1
+  one copy of some class carries a full unit on its own and no copy carries
+  more.  So z stays in [0, 1], nothing overflows, and the loads are read
+  from z^P u / (b_i(1+p_i)), which stays in range where a tiny u makes
+  lam - kappa_h underflow.
+
+Together with the sort that is O(n log n) per bound.  Both kernels build the
+offsets lam - kappa_i from the share poured into the last interval, not from
+lam, so the loads keep their precision where lam dwarfs them.  The restricted
+solves in ``kkt`` reuse ``_level`` for mixed exponents.
 
 Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
 the same machinery a node bound for branch and bound (``_node_relaxation``,
@@ -38,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance
+
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +100,11 @@ def _level(kap, b, p, w):
     level is in the support; one priced at it is probed, as that sum may
     round down to its price.  Below that the last class h of the support
     is found by bisection over the breakpoint demands; classes tied with
-    the cheapest one pass without a probe.
+    the cheapest one pass without a probe.  The last interval is solved by
+    Newton from above in fill units (module docstring); it starts at the
+    least of z = 1, the next breakpoint and the point where the tied classes
+    of exponent P alone pour the rest of the unit, and stops once the demand
+    is <= 1 or a step no longer lowers both z and the demand.
     """
     curve = b * (1.0 + p)
     scale = 1.0 / curve
@@ -102,69 +120,42 @@ def _level(kap, b, p, w):
         else:
             fail = m
     n = h + 1
-    d = kap[h] - kap[:n]
+    d, s, r, w = kap[h] - kap[:n], scale[:n], root[:n], w[:n]
     tied = d == 0.0
-    big_p = float(p[:n][tied].max())
+    big_p = float(p[:n].max())
+    unit = float((curve[:n] - d).min())
+    if not unit > 0.0:
+        # the support search let through a class whose offset rounds past
+        # its curve; a tied class still fills one copy at its own curve
+        unit = float(curve[:n][tied].min())
+    ds, su = d * s, unit * s
+    # the demand is >= 1 at each bound; tied classes of exponent P carry
+    # z * su**(1/P) per copy
+    z = 1.0
+    if n < kap.size:
+        z = min(z, (float(kap[n] - kap[h]) / unit) ** (1.0 / big_p))
     lead = tied & (p[:n] == big_p)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # tied classes with exponent P carry z * scale**(1/P) each; the other
-        # terms only grow from the demand already poured, so this z bounds the
-        # root above
-        lin = float((w[:n] * scale[:n] ** (1.0 / big_p))[lead].sum())
-        if lin < math.inf:
-            z = (1.0 - poured) / lin
-        else:
-            # a tiny b overflows lin; one copy of a lead class alone carries a
-            # full unit at z = curve**(1/P)
-            z = float(curve[:n][lead].min()) ** (1.0 / big_p)
-        if n < kap.size:
-            z = min(z, float(kap[n] - kap[h]) ** (1.0 / big_p))
-        # a tied term has g == 0 where z**P underflows; its nan step bisects
-        z, x = _newton_z(d, scale[:n], root[:n], w[:n], big_p, z)
-    return float(kap[h] + z ** big_p), x
-
-
-def _newton_z(d, scale, root, w, big_p, z):
-    """Root of sum w ((d + z**P) scale)**root = 1 in [0, z]; the sum is >= 1 at z.
-
-    Newton inside a kept bracket: a step that leaves the bracket or does not
-    halve the step before it becomes a bisection.  An exact hit returns at
-    once.  Once converged the upper end, whose demand is >= 1, is returned
-    with its per-copy loads; a point converged from below first probes
-    above itself until the demand reaches 1.
-    """
-    w = np.asarray(w, dtype=float)
-    w_root = w * root
-    lo, hi, x_hi, last, probe = 0.0, z, None, math.inf, 0.0
+    lin = float((w * lead) @ su ** (1.0 / big_p))
+    if lin > 0.0:
+        z = min(z, (1.0 - poured) / lin)
+    w_root = w * r
+    step_z, f = z, math.inf
     while True:
-        zp = z ** big_p
-        g = d + zp
-        x = (g * scale) ** root
-        f = float(w @ x) - 1.0
-        if f == 0.0 or (f < 0.0 and x_hi is None):
-            # exact hit, or the starting bound is the root to rounding
-            return z, x
-        if f > 0.0:
-            hi, x_hi = z, x
-        else:
-            lo = z
-        # f over the slope, written with zp / g <= 1 so that the slope's own
-        # overflow at a tiny b cannot reach it
-        step = f * z / (big_p * float(w_root @ (x * (zp / g))))
-        # converged once the step is within 2 ulp of z or the demand within
-        # 2 ulp of 1, below which its rounding hides the sign of f
-        if abs(step) <= 2.0 * math.ulp(z) or abs(f) <= 2.0 * math.ulp(1.0):
-            if f > 0.0:
-                return hi, x_hi
-            # just below the root: probe above it, doubling the probe each time
-            probe = max(2.0 * probe, -2.0 * step, 2.0 * math.ulp(z))
-            step = -probe
-        elif not lo < z - step < hi or abs(2.0 * step) > last:
-            step = z - (lo + 0.5 * (hi - lo))
-        if not lo < z - step < hi:
-            return hi, x_hi
-        last = abs(step)
-        z -= step
+        fill = step_z ** big_p * su
+        g = ds + fill
+        x_step = g ** r
+        f_step = float(w @ x_step) - 1.0
+        if not f_step < f:
+            break
+        z, x, f = step_z, x_step, f_step
+        if f <= 0.0:
+            break
+        # the slope term fill / g is <= 1; g is 0 only where fill underflows,
+        # and such a class adds no slope
+        step_z = z - f * z / (big_p * float(w_root @ (x * (fill / np.maximum(g, _TINY)))))
+        if not 0.0 < step_z < z:
+            break
+    return float(kap[h] + unit * z ** big_p), x
 
 
 def _solve_classes(kap, b, p, w):

@@ -130,6 +130,28 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "optimum:           1\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body", [
+        "latalloc 1\n1 50\n1 1e-300 10\n",
+        "latalloc 1\n2 50\n1 1e-300 3\n2 1 1\n",
+    ], ids=["offset-0", "offset-subnormal"])
+    def test_level_offset_below_float_range_file_solves(self, tmp_path, capsys, body):
+        # the cheap copies' level offset b(1+p) * k**-50 underflows; they
+        # still carry the unit, so the root bound is the optimum
+        path = tmp_path / "flat.txt"
+        path.write_text(body)
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "optimum:           1\n" in out
+        assert "root bound:        1\n" in out
+
+    def test_huge_multiplicity_is_input_error(self, tmp_path, capsys):
+        # 10**15 copies: the per-copy arrays cannot be allocated, and the
+        # request fails at once
+        path = tmp_path / "huge.txt"
+        path.write_text(f"latalloc 1\n1 1\n1 1 {10 ** 15}\n")
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: instance too large")
+
     @pytest.mark.parametrize("flags", [
         ["--time-limit", "nan"], ["--time-limit", "-1"],
         ["--node-limit", "-5"], ["--node-limit", "0"],

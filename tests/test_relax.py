@@ -202,7 +202,7 @@ def _reference_level(kap, b, p, w):
             hi = mid
 
 
-def _check_classes(kap, b, p, w):
+def _check_classes(kap, b, p, w, oracle=True):
     """The class kernel against the reference bisection and the projected-gradient oracle."""
     kap, b, p, w = (np.asarray(a, dtype=float) for a in (kap, b, p, w))
     lam, x, obj = relax._solve_classes(kap, b, p, w)
@@ -215,6 +215,8 @@ def _check_classes(kap, b, p, w):
     marginal = b[:n] * (1.0 + p[:n]) * x ** p[:n] + kap[:n]
     assert marginal == pytest.approx(np.full(n, lam), rel=1e-9)
     assert np.all(kap[n:] >= lam * (1.0 - 1e-9))
+    if not oracle:
+        return
     # copies of a class are identical, so the oracle sees each class w times;
     # the oracle reads no fixed cost, which here only keeps the groups apart
     inst = Instance.from_groups([ResourceGroup(float(i), PowerLatency(float(b[i]), float(p[i])),
@@ -224,10 +226,20 @@ def _check_classes(kap, b, p, w):
 
 
 class TestClassKernel:
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), wide=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_random_classes(self, seed, n):
+    def test_random_classes(self, seed, n, wide):
         rng = np.random.Generator(np.random.PCG64(seed))
+        if wide:
+            # coefficients and prices over many decades, steep exponents and up
+            # to 40 classes, checked against the reference bisection and the
+            # demand but not the oracle
+            n = int(rng.integers(1, 41))
+            _check_classes(np.sort(10.0 ** rng.uniform(-12.0, 3.0, n)),
+                           10.0 ** rng.uniform(-6.0, 4.0, n),
+                           rng.choice([1.0, 1.5, 2.0, 3.0, 7.0], n), rng.integers(1, 5, n),
+                           oracle=False)
+            return
         # multiples of 1/8 make tied prices common
         kap = np.sort(np.round(rng.uniform(0.0, 3.0, n) * 8.0) / 8.0)
         _check_classes(kap - kap[0], rng.uniform(0.2, 9.0, n),
@@ -273,6 +285,30 @@ class TestClassKernel:
         assert res.x.tolist() == pytest.approx([0.25] * 4, rel=1e-12)
         assert res.bound == pytest.approx(numeric_relaxation(inst, inst.copy_fixed_cost),
                                           rel=1e-9)
+
+    @pytest.mark.parametrize("groups", [
+        [ResourceGroup(1.0, PowerLatency(1e-300, 50.0), 10)],
+        [ResourceGroup(1.0, PowerLatency(1e-300, 50.0), 3),
+         ResourceGroup(2.0, PowerLatency(1.0, 50.0))],
+    ], ids=["level-offset-0", "level-offset-subnormal"])
+    def test_level_offset_below_the_float_range(self, groups):
+        # the level sits b(1+p) * k**-50 above the price, which underflows to
+        # 0 for k = 10 copies and to a subnormal for k = 3; the loads must still
+        # fill the unit on the cheap copies
+        res = continuous_relaxation_bound(Instance.from_groups(groups))
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        k = groups[0].multiplicity
+        assert res.x[:k].tolist() == pytest.approx([1.0 / k] * k, rel=1e-12)
+        assert res.bound == pytest.approx(1.0, rel=1e-12)
+
+    def test_fill_below_the_float_range(self):
+        # the second class's fill unit / (b(1+p)) = 2e-300 / 3e300 underflows
+        # to 0, so its slope term would read 0 / 0; it carries nothing to
+        # rounding, and the two copies of the first class split the unit
+        lam, x, _ = relax._solve_classes(np.array([0.0, 0.0]), np.array([1e-300, 1e300]),
+                                         np.array([1.0, 2.0]), np.array([2, 1]))
+        assert x[0] == pytest.approx(0.5, rel=1e-12)
+        assert lam == pytest.approx(1e-300, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_overflowing_group_fill(self, p):
