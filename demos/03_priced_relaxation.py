@@ -5,8 +5,9 @@ The ordering bound
 Dropping the on/off variables and charging each copy a price kappa_i per
 unit of load leaves a convex problem the package solves by sorting: copies
 join the support in price order while their price stays below the marginal
-level of the copies before them.  Pricing with the true fees gives the root
-lower bound of the search tree.
+level of the copies before them.  Pricing with the true fees gives the
+paper's root lower bound; the search prices its nodes by the tighter
+perspective bound (demo 04).
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ slow = numeric_relaxation(inst, fees)
 print(f"\nsorting answer {dual.bound:.10f} vs projected gradient {slow:.10f}")
 
 alloc, _ = solve(inst)
-print(f"root bound {dual.bound:.4f} <= optimum {alloc.value:.4f}")
+print(f"priced root bound {dual.bound:.4f} <= optimum {alloc.value:.4f}")
 
 # the support is always a prefix of the price order
 order = np.argsort(fees, kind="stable")

@@ -16,7 +16,7 @@ from .kkt import (RestrictedResult, solve_constant_latency, solve_identical,
                   solve_restricted)
 from .model import (Allocation, ConstantLatency, Instance, LatencyFamily,
                     PowerLatency, ResourceGroup, gamma)
-from .oracle import brute_force_optimum, numeric_relaxation
+from .oracle import brute_force_optimum, numeric_perspective, numeric_relaxation
 from .relax import DualResult, continuous_relaxation_bound, ordering_algorithm
 
 __version__ = "0.1.0"
@@ -41,6 +41,7 @@ __all__ = [
     "gamma",
     "generate_base",
     "generate_random",
+    "numeric_perspective",
     "numeric_relaxation",
     "ordering_algorithm",
     "partition_reduction",

@@ -10,11 +10,14 @@ multiplicities 1 the two trees coincide.
 Nodes carry per-group (on, off) count arrays, never written once built.  A
 child inherits its parent's bound until popped; it is then either pruned on
 that inherited bound without any work, discarded as infeasible, or priced by
-the continuous relaxation (``relax._node_relaxation``), which sees each
+the perspective relaxation (``relax._node_relaxation``), which sees each
 group as at most two classes: its copies switched on and its free copies.
-When the relaxation of a node splits the demand only across committed or
-fully loaded copies, the node is solved: re-solving the restricted problem
-on the support tightens the incumbent and the node closes.
+It prices a free copy by the convex envelope of its fee plus latency,
+linear with slope s up to a load t and the true cost beyond it, and costs
+O(n log n) per node, the sort by s being made once per search.  When every
+free copy of a node carries 0 or at least its t, its relaxation prices every
+copy at its true cost, so the node is solved: re-solving the restricted
+problem on the support tightens the incumbent and the node closes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .relax import _node_classes, _node_relaxation
 # A node is pruned when its bound cannot undercut the incumbent by more than
 # this relative slack.
 PRUNE_RTOL = 1e-9
-# Threshold for treating a relaxation fraction as integral.
+# Rounding allowance, relative to t, when reading a free copy's load as 0 or >= t.
 INTEGRAL_TOL = 1e-12
 
 
@@ -135,6 +138,9 @@ def solve(instance: Instance, options: SolveOptions | None = None):
 
     mult = instance.group_multiplicities
     node_classes = _node_classes(instance)
+    # a free copy is read as carrying 0 up to zero_below and its t from at_t
+    zero_below = INTEGRAL_TOL * node_classes.t
+    at_t = (1.0 - INTEGRAL_TOL) * node_classes.t
 
     heur = primal_heuristic(instance)
     inc_value = heur.value
@@ -168,12 +174,12 @@ def solve(instance: Instance, options: SolveOptions | None = None):
         if bound >= inc_value - _prune_gap(inc_value):
             continue
         x_free = loads[1]
-        if not ((x_free > INTEGRAL_TOL) & (x_free < 1.0 - INTEGRAL_TOL)).any():
-            # relaxation already integral for the free copies: close the node
-            # by re-solving exactly on its support
+        if not ((x_free > zero_below) & (x_free < at_t)).any():
+            # every free copy is priced at its true cost: close the node by
+            # re-solving exactly on its support, read by the same rule
             free = mult - node.on_counts - node.off_counts
             counts = (np.where(loads[0] > 0.0, node.on_counts, 0)
-                      + np.where(x_free > 0.0, free, 0))
+                      + np.where(x_free > zero_below, free, 0))
             _, x_groups, exact = _counts_solve(instance, counts)
             if exact < inc_value:
                 inc_value = exact

@@ -52,9 +52,11 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
         # or more), so every product scales exactly
         unit = 2.0 ** max(0, math.frexp(float(w.max()))[1] - 1)
         w /= unit
-        lam = float(k @ w) ** (-pe)
-        x_act = lam ** (1.0 / pe) * w
-        lam *= unit ** -pe
+        # x = w / (k @ w) directly: the level (k @ w)**-p can leave the float
+        # range where the loads do not
+        total = float(k @ w)
+        x_act = w / total
+        lam = total ** -pe * unit ** -pe
     else:
         # every active copy of group g carries the same load, so group g is one
         # class of weight k_g

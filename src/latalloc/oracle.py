@@ -1,9 +1,11 @@
 """Slow, independent reference solvers used to validate the fast paths.
 
 The exhaustive oracle enumerates activation counts per group (copy identity
-never matters) and exact-solves each pattern.  The numeric relaxation oracle
-minimizes the priced objective by projected gradient on the simplex, sharing
-neither the kappa sort nor the prefix scan with the fast relaxation code.
+never matters) and exact-solves each pattern.  The numeric relaxation
+oracles minimize the priced objective and the perspective (convex-envelope)
+node objective by projected gradient on the simplex, sharing neither the
+sort, the level kernels nor the envelope formula with the fast relaxation
+code.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _minimize_on_simplex(grad, lip, size):
+    """Projected gradient with constant step 1/``lip`` from the simplex centre.
+
+    Iterates until the point stops moving (or PG_MAX_ITERS); ``grad`` maps a
+    point to the objective's gradient, ``lip`` bounds its Lipschitz constant.
+    """
+    step = 1.0 / max(lip, 1e-12)
+    x = np.full(size, 1.0 / size)
+    for _ in range(PG_MAX_ITERS):
+        x_next = project_simplex(x - step * grad(x))
+        if float(np.abs(x_next - x).max()) < 1e-15:
+            return x_next
+        x = x_next
+    return x
+
+
 def numeric_relaxation(instance: Instance, kappa) -> float:
     """Priced-relaxation optimum min sum b_i x_i**(p+1) + kappa_i x_i by projected gradient.
 
@@ -69,14 +87,42 @@ def numeric_relaxation(instance: Instance, kappa) -> float:
         raise ValueError(f"kappa must have length {instance.q}, got {kappa.shape}")
     b = instance.copy_b
     p = instance.copy_p
-    lip = float((b * p * (1.0 + p)).max())
-    step = 1.0 / max(lip, 1e-12)
-    x = np.full(instance.q, 1.0 / instance.q)
-    for _ in range(PG_MAX_ITERS):
-        grad = b * (1.0 + p) * x ** p + kappa
-        x_next = project_simplex(x - step * grad)
-        if float(np.abs(x_next - x).max()) < 1e-15:
-            x = x_next
-            break
-        x = x_next
+    x = _minimize_on_simplex(lambda x: b * (1.0 + p) * x ** p + kappa,
+                             float((b * p * (1.0 + p)).max()), instance.q)
     return float((b * x ** (1.0 + p) + kappa * x).sum())
+
+
+def numeric_perspective(instance: Instance, fixed_on=(), fixed_off=()) -> float:
+    """Perspective node bound by projected gradient over the copies not fixed off.
+
+    A copy in ``fixed_on`` costs b x**(p+1) plus its fee, paid up front; a
+    free copy costs the convex envelope of c 1[x>0] + b x**(p+1) on [0, 1]:
+    with theta = max(1, (p b / c)**(1/(p+1))) it is linear with slope
+    c theta + b theta**-p up to x = 1/theta and c + b x**(p+1) beyond (just
+    b x**(p+1) when c = 0).  The envelope is continuously differentiable
+    with the same Lipschitz bound as the curve, so the step rule of
+    ``numeric_relaxation`` applies.  Shares no logic with ``relax``.
+    """
+    if instance.has_constant:
+        raise ValueError("numeric relaxation covers power instances")
+    on = np.zeros(instance.q, dtype=bool)
+    on[list(fixed_on)] = True
+    keep = np.ones(instance.q, dtype=bool)
+    keep[list(fixed_off)] = False
+    if (on & ~keep).any():
+        raise ValueError("copies fixed both on and off")
+    b, p, c = instance.copy_b[keep], instance.copy_p[keep], instance.copy_fixed_cost[keep]
+    free = ~on[keep] & (c > 0.0)
+    theta = np.ones(b.size)
+    theta[free] = np.maximum(1.0, (p[free] * b[free] / c[free]) ** (1.0 / (p[free] + 1.0)))
+    slope = c * theta + b * theta ** -p
+    # where the linear piece ends; with theta = 1 it covers all of [0, 1]
+    end = np.where(free, np.where(theta > 1.0, 1.0 / theta, np.inf), 0.0)
+
+    def grad(x):
+        return np.where(x < end, slope, b * (1.0 + p) * x ** p)
+
+    x = _minimize_on_simplex(grad, float((b * p * (1.0 + p)).max()), b.size)
+    cost = np.where(x < end, slope * x, np.where(free, c, 0.0) + b * x ** (1.0 + p))
+    paid = float(instance.copy_fixed_cost[on].sum())
+    return float(cost.sum()) + paid

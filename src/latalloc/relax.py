@@ -1,4 +1,4 @@
-"""Lower bounds from the continuous relaxation, solved over sorted weighted classes.
+"""Lower bounds from continuous relaxations, solved over sorted weighted classes.
 
 Replacing each activation charge c_i * y_i by a per-unit price kappa_i * x_i
 leaves a convex splitting problem whose optimum prices every used copy at a
@@ -27,25 +27,57 @@ Newton in z, where lam = kappa_h + u z^P:
   one copy of some class carries a full unit on its own and no copy carries
   more.  So z stays in [0, 1], nothing overflows, and the loads are read
   from z^P u / (b_i(1+p_i)), which stays in range where a tiny u makes
-  lam - kappa_h underflow.
+  lam - kappa_h underflow.  A class tied with h carries z^(P/p_i)
+  (u / (b_i(1+p_i)))^(1/p_i) per copy, formed without its x^p, which can
+  pass below the float range where x does not.
 
 Together with the sort that is O(n log n) per bound.  Both kernels build the
 offsets lam - kappa_i from the share poured into the last interval, not from
 lam, so the loads keep their precision where lam dwarfs them.  The restricted
 solves in ``kkt`` reuse ``_level`` for mixed exponents.
 
-Pricing free copies at kappa_i = c_i and already-activated copies at 0 makes
-the same machinery a node bound for branch and bound (``_node_relaxation``,
-the one place that rule is written).  There a group is at most two classes,
-its on copies and its free copies, laid out by ``_node_classes`` in a fee
-order sorted once per search.  At the root this equals the best Lagrangean dual bound, which is
-attained at multipliers equal to the fixed costs.
+Pricing every copy at its fee, kappa_i = c_i, gives the paper's root bound
+(``ordering_algorithm(instance, instance.copy_fixed_cost)``), which equals
+the best Lagrangean dual bound, attained at multipliers equal to the fixed
+costs.  It leaves a wide gap, so branch and bound prices its nodes by the
+tighter perspective bound (``_node_relaxation``, the one place that rule is
+written).  There a group is at most two classes, its copies already on and
+its free copies, laid out by ``_node_classes`` in an order sorted once per
+search, so a node costs O(n log n).  Copies already on are paid for and
+carry their true latency.  A free copy is priced by the convex envelope h of
+c 1[x>0] + b x^(p+1) on [0, 1].  With theta = max(1, (p b / c)^(1/(p+1)))
+and t = 1/theta, h is linear with slope s up to t and the true cost beyond:
+s = c theta (1+p)/p when theta > 1 (the tangent from the origin), s = c + b
+and t = 1 when theta = 1, s = t = 0 when c = 0.  Copies already on are
+classes with s = t = 0 and no fee.  Minimizing h(x) - lam x, a free copy
+carries 0 below lam = s and jumps at s onto its unshifted curve
+ginv(lam) = (lam / (b(1+p)))^(1/p), which is >= t there.
+
+The classes are sorted by s, ties in group order, and scanned with
+cumulative tie semantics: when the level reaches s_k every earlier class in
+sort order has made its full jump, ties included, so the demand D(s_k+) is
+nondecreasing in k and the first class k with D(s_k+) >= 1 settles the
+level (one cumulative pass for linear classes, a bisection over the class
+index for other exponents, ``_settle``).  If the
+classes before k already pour 1 just below s_k, lam lies inside that
+interval, where they all sit on their curves: a closed form for linear
+classes, ``_level`` at zero prices otherwise.  Otherwise lam = s_k and class
+k carries the rest of the unit.  Loading only the last of several tied
+classes, or counting a tie as active only strictly above its slope, breaks
+that monotonicity and gives wrong optima on partition embeddings, where
+every class ties at s = W.
+
+The bound is the Lagrangean value L(lam) = lam + sum w min_x (h(x) - lam x)
+plus the fees of the copies already on, valid at any lam.  It is never below
+the priced bound, and it is exact for a node whose free copies each carry 0
+or at least their t: then every copy is priced at its true cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,25 +101,42 @@ def _stable_argsort(values):
     return np.argsort(values, kind="stable")
 
 
-def _scan_linear(kap, b, w, unit=1.0):
+def _linear_fills(b, w, search):
+    """Cumulative fills w / (2b) of linear classes, searched by ``search(fill, unit)``.
+
+    ``search`` returns a tuple led by the index of the last fill it reads
+    (or ``len(fill)``).  The fills are counted in ``unit`` = 1; where the one
+    read passes the float range, as w / (2b) does for b near 1e-308, they are
+    counted again in units of 2**-128, a power-of-two scaling, and searched
+    once more.  Returns (fill, unit, the search's tuple).
+    """
+    for unit in (1.0, 2.0 ** -128):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # fills past the one the search reads may overflow; it never reads them
+            fill = (w * (0.5 * unit) / b).cumsum()
+            found = search(fill, unit)
+        if fill[min(found[0], fill.size - 1)] < math.inf:
+            break
+    return fill, unit, found
+
+
+def _scan_linear(kap, b, w):
     """Level lam and per-copy loads of the support for linear classes sorted by shifted price.
 
     ``kap`` is ascending with ``kap[0] == 0``, so the first class always
     passes.  Class h passes iff the demand D_h poured before the level
     reaches kappa_h is below 1; the loads cover the classes up to the last
-    passing one, every later class carries 0.  The demand is counted in
-    ``unit``; where a fill w / (2b) of the support passes the float range the
-    scan repeats in units of 2**-128, a power-of-two scaling.
+    passing one, every later class carries 0.  The demand is counted in the
+    unit of ``_linear_fills``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # sums past the first failing class may overflow; the scan never reads them
-        fill = (w * (0.5 * unit) / b).cumsum()
+    def first_failing(fill, unit):
         demand = (fill[:-1] * (kap[1:] - kap[:-1])).cumsum()
-    # demand is nondecreasing, so the first failing class is found by bisection
-    h = int(demand.searchsorted(unit))
-    if fill[h] == math.inf and unit == 1.0:
-        return _scan_linear(kap, b, w, 2.0 ** -128)
-    rest = (unit - (demand[h - 1] if h else 0.0)) / fill[h]
+        # demand is nondecreasing, so the first failing class is found by bisection
+        h = int(demand.searchsorted(unit))
+        return h, demand[h - 1] if h else 0.0
+
+    fill, unit, (h, poured) = _linear_fills(b, w, first_failing)
+    rest = (unit - poured) / fill[h]
     return float(kap[h] + rest), ((kap[h] - kap[:h + 1]) + rest) / (2.0 * b[:h + 1])
 
 
@@ -129,13 +178,16 @@ def _level(kap, b, p, w):
         # its curve; a tied class still fills one copy at its own curve
         unit = float(curve[:n][tied].min())
     ds, su = d * s, unit * s
+    # a tied class carries z**(P/p) (u/(b(1+p)))**(1/p) per copy, formed
+    # without its x**p, which can pass below the float range where x does not
+    tied_x = np.where(tied, unit ** r * s ** r, 0.0)
+    tied_z = big_p * r
     # the demand is >= 1 at each bound; tied classes of exponent P carry
-    # z * su**(1/P) per copy
+    # z * tied_x per copy
     z = 1.0
     if n < kap.size:
         z = min(z, (float(kap[n] - kap[h]) / unit) ** (1.0 / big_p))
-    lead = tied & (p[:n] == big_p)
-    lin = float((w * lead) @ su ** (1.0 / big_p))
+    lin = float((w * (p[:n] == big_p)) @ tied_x)
     if lin > 0.0:
         z = min(z, (1.0 - poured) / lin)
     w_root = w * r
@@ -143,16 +195,17 @@ def _level(kap, b, p, w):
     while True:
         fill = step_z ** big_p * su
         g = ds + fill
-        x_step = g ** r
+        x_step = np.where(tied, step_z ** tied_z * tied_x, g ** r)
         f_step = float(w @ x_step) - 1.0
         if not f_step < f:
             break
         z, x, f = step_z, x_step, f_step
         if f <= 0.0:
             break
-        # the slope term fill / g is <= 1; g is 0 only where fill underflows,
-        # and such a class adds no slope
-        step_z = z - f * z / (big_p * float(w_root @ (x * (fill / np.maximum(g, _TINY)))))
+        # the slope term fill / g is <= 1, and 1 on tied classes; g is 0
+        # elsewhere only where fill underflows, and such a class adds no slope
+        slope = np.where(tied, 1.0, fill / np.maximum(g, _TINY))
+        step_z = z - f * z / (big_p * float(w_root @ (x * slope)))
         if not 0.0 < step_z < z:
             break
     return float(kap[h] + unit * z ** big_p), x
@@ -212,51 +265,137 @@ def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
     return DualResult(lam=float(lam), support=support, x=x, bound=obj, h=len(support))
 
 
-def _node_classes(instance: Instance):
-    """The 2 * n_groups classes of a node relaxation, sorted by price once per search.
+def _envelope(c, b, p):
+    """Slope s and end t of the linear piece of the convex envelope of c 1[x>0] + b x**(p+1) on [0, 1].
 
-    Class g < n_groups holds the copies of group g already switched on,
-    priced at 0; class n_groups + j the free copies of the group with the
-    j-th smallest fixed cost (ties in group order), priced at that cost.
-    Returns (order, slot, price, b, p): the groups in fee order, and per
-    class its place in the flattened loads of ``_node_relaxation``.
+    The tangent from the origin touches the curve at t = (c / (p b))**(1/(p+1))
+    with slope s = c (1+p) / (p t); where that t passes 1 the envelope is the
+    chord to x = 1, s = c + b and t = 1.  A fee of 0 gives s = t = 0.  The
+    two factors of t are formed apart so that neither c / (p b) nor its
+    root leaves the float range.
+    """
+    with np.errstate(over="ignore"):
+        # either factor of t may pass 1 far enough to overflow; t is capped at 1
+        t = np.minimum(1.0, (c / p) ** (1.0 / (p + 1.0)) * b ** (-1.0 / (p + 1.0)))
+        s = np.where(t < 1.0, c / np.maximum(t, _TINY) * ((1.0 + p) / p), c + b)
+    return s, t
+
+
+def _perspective(s, c, b, p, g1, w):
+    """Level, per-copy loads of the support and Lagrangean bound over classes sorted by slope.
+
+    Class j has envelope slope ``s[j]`` (ascending), fee ``c[j]`` (0 for copies
+    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)`` and weight
+    ``w[j] >= 1``.  The settling class k is the first whose jump makes the
+    cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam, x,
+    bound); the support is the first ``len(x)`` classes, and with a jump the
+    last of them is the settling class carrying the rest of the unit.
+    """
+    n = s.size
+    if n == 0:
+        raise ValueError("no available resource can carry the demand")
+    linear = p.max() == 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # products past the settling class may overflow; none of them is read
+        if linear:
+            # D(s_k+) = s_k * sum_{j <= k} w_j / (2 b_j) is nondecreasing in k,
+            # so one cumulative sum and one bisection find k
+            fill, unit, (k,) = _linear_fills(
+                b, w, lambda fill, unit: (int((s * fill).searchsorted(unit)),))
+        else:
+            k = _settle(s, p, g1, w)
+        if k < n:
+            # the loads of the classes before k at lam = s_k
+            x = s[k] * g1[:k] if linear else s[k] ** (1.0 / p[:k]) * g1[:k]
+            pour = float(w[:k] @ x)
+    if k < n and pour < 1.0:
+        lam, loads = float(s[k]), np.concatenate((x, [(1.0 - pour) / w[k]]))
+    else:
+        # the level lies below s_k, where the classes before k all sit on their curves
+        if linear:
+            lam = unit / float(fill[k - 1])
+            x = lam * g1[:k]
+        else:
+            lam, x = _level(np.zeros(k), b[:k], p[:k], w[:k])
+        pour, loads = float(w[:k] @ x), x
+    curve = b[:k] * (x * x if linear else x ** (1.0 + p[:k]))
+    return lam, loads, float(w[:k] @ (c[:k] + curve)) + lam * (1.0 - pour)
+
+
+def _settle(s, p, g1, w):
+    """Settling class for any exponents: bisection over the class index, one pass per probe.
+
+    D(s_k+) = sum_{j <= k} w_j s_k**(1/p_j) g1_j counts every class before k
+    in sort order, ties included, so it is nondecreasing in k.  No class
+    settles at slope 0, where every load is 0.  Returns len(s) if none does.
+    """
+    r = 1.0 / p
+    lo, k = int(s.searchsorted(0.0, "right")) - 1, s.size
+    while k - lo > 1:
+        m = (lo + k) // 2
+        if float(w[:m + 1] @ (s[m] ** r[:m + 1] * g1[:m + 1])) >= 1.0:
+            k = m
+        else:
+            lo = m
+    return k
+
+
+class NodeClasses(NamedTuple):
+    """Class layout of the node relaxations of one search (``_node_classes``)."""
+
+    order: np.ndarray   # flattened (on, free) slot of each class, in slope order
+    table: np.ndarray   # ``_perspective`` arguments per class, one row each, in slope order
+    t: np.ndarray       # per group: least load a free copy carries at its true cost
+
+
+def _node_classes(instance: Instance) -> NodeClasses:
+    """The 2 * n_groups classes of a node relaxation, sorted by envelope slope once per search.
+
+    Slot g < n_groups holds the copies of group g already switched on, slot
+    n_groups + g its free copies.  On copies have slope 0 and come first;
+    ties stay in group order.
     """
     n = len(instance.groups)
-    order = np.argsort(instance.group_fixed_costs, kind="stable")
-    group = np.concatenate((np.arange(n), order))
-    slot = np.concatenate((np.arange(n), n + order))
-    price = np.concatenate((np.zeros(n), instance.group_fixed_costs[order]))
-    return order, slot, price, instance.group_b[group], instance.group_p[group]
+    fee, b, p = instance.group_fixed_costs, instance.group_b, instance.group_p
+    slope, t = _envelope(fee, b, p)
+    zeros = np.zeros(n)
+    slope = np.concatenate((zeros, slope))
+    order = np.argsort(slope, kind="stable")
+    b, p = b[order % n], p[order % n]
+    table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b, p,
+                      (b * (1.0 + p)) ** (-1.0 / p)))
+    return NodeClasses(order, table, t)
 
 
-def _node_relaxation(instance: Instance, classes, on_counts, off_counts):
-    """Priced relaxation of a node over the ``classes`` of ``_node_classes(instance)``.
+def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_counts):
+    """Perspective relaxation of a node over the ``classes`` of ``_node_classes(instance)``.
 
     The ``on_counts[g]`` copies of group g that are on are already paid
-    for: priced at 0, their fixed costs added to the bound.  Its free
-    copies, neither on nor off, are priced at the group's fixed cost.
-    Returns (lam, loads, bound): ``loads[0, g]`` is the load on each on
-    copy of group g, ``loads[1, g]`` the load on each of its free copies.
+    for: their latency is priced at its true cost and their fixed costs are
+    added to the bound.  Its free copies, neither on nor off, are priced by
+    their convex envelope.  Returns (lam, loads, bound): ``loads[0, g]`` is
+    the load on each on copy of group g, ``loads[1, g]`` the load on each of
+    its free copies.
     """
-    order, slot, price, b, p = classes
     on = np.asarray(on_counts, dtype=np.intp)
     free = instance.group_multiplicities - on - off_counts
-    weights = np.concatenate((on, free[order]))
+    weights = np.concatenate((on, free))[classes.order]
     live = weights.nonzero()[0]
-    lam, x, obj = _solve_classes(price[live], b[live], p[live], weights[live])
+    lam, x, value = _perspective(*classes.table[:, live], weights[live])
     loads = np.zeros(2 * on.size)
-    loads[slot[live[:x.size]]] = x
-    return lam, loads.reshape(2, on.size), obj + float(instance.group_fixed_costs @ on)
+    loads[classes.order[live[:x.size]]] = x
+    return lam, loads.reshape(2, on.size), value + float(instance.group_fixed_costs @ on)
 
 
 def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -> DualResult:
-    """Node lower bound: activation charges already committed plus priced free copies.
+    """Node lower bound: activation charges already committed plus free copies priced by their envelopes.
 
-    Copies in ``fixed_on`` are paid for (price 0, their c added to the bound),
-    copies in ``fixed_off`` are excluded, and every remaining free copy is
-    priced at its own fixed cost.  Only the number of copies per group in
-    each set matters.  The bound is monotone in both sets, and at the root
-    (both empty) it equals the Lagrangean dual optimum.
+    Copies in ``fixed_on`` are paid for (their c added to the bound), copies
+    in ``fixed_off`` are excluded, and every remaining free copy is priced
+    by the convex envelope of its fee plus latency (the perspective bound of
+    the search).  Only the number of copies per group in each set matters.
+    The bound is monotone in both sets and never below the paper's priced
+    bound, ``ordering_algorithm`` with the free copies at their fees.
     """
     on_mask = _copy_mask(instance, fixed_on)
     off_mask = _copy_mask(instance, fixed_off)
@@ -264,9 +403,10 @@ def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -
         raise ValueError(f"copies fixed both on and off: {np.flatnonzero(on_mask & off_mask)}")
     group = instance.copy_group
     n_groups = len(instance.groups)
-    lam, loads, bound = _node_relaxation(
-        instance, _node_classes(instance), np.bincount(group[on_mask], minlength=n_groups),
+    lam, loads, value = _node_relaxation(
+        instance, _node_classes(instance),
+        np.bincount(group[on_mask], minlength=n_groups),
         np.bincount(group[off_mask], minlength=n_groups))
     x = np.where(on_mask, loads[0, group], np.where(off_mask, 0.0, loads[1, group]))
     support = frozenset(np.flatnonzero(x > 0.0).tolist())
-    return DualResult(lam=float(lam), support=support, x=x, bound=bound, h=len(support))
+    return DualResult(lam=float(lam), support=support, x=x, bound=value, h=len(support))

@@ -1,15 +1,19 @@
 """Shared builders and numeric checks for the test suite."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import latalloc
-from latalloc import Instance, PowerLatency, ResourceGroup, generate_base, generate_random
+import latalloc.bnb as bnb
+from latalloc import (Instance, PowerLatency, ResourceGroup, generate_base, generate_random,
+                      ordering_algorithm)
 
 # Wall-clock cap for calls that once looped forever; a regression fails the
 # test through subprocess.TimeoutExpired instead of hanging the whole suite.
@@ -63,3 +67,48 @@ def exactness_instances():
     """The gate-1 corpus: 200 random instances with q = 2..12 and the ladders q = 1..12."""
     return ([generate_random(2 + s % 11, seed=2000 + s) for s in range(200)]
             + [generate_base(q) for q in range(1, 13)])
+
+
+def priced_bound(instance, fixed_on=(), fixed_off=()):
+    """The paper's priced node bound, solved one class per copy by ``ordering_algorithm``.
+
+    Copies in ``fixed_on`` are paid for (priced at 0, their fees added to the
+    bound), copies in ``fixed_off`` are excluded, and every other copy is
+    priced at its own fee.  Returns the ordering result with that bound.
+    """
+    fixed_on = list(fixed_on)
+    kappa = instance.copy_fixed_cost.copy()
+    kappa[fixed_on] = 0.0
+    res = ordering_algorithm(instance, kappa, sorted(set(range(instance.q)) - set(fixed_off)))
+    paid = float(instance.copy_fixed_cost[fixed_on].sum())
+    return dataclasses.replace(res, bound=res.bound + paid)
+
+
+def priced_node_relaxation(instance, on_counts, off_counts):
+    """``priced_bound`` of a search node, as ``relax._node_relaxation`` returns it.
+
+    The first ``on_counts[g]`` copies of group g are on and its last
+    ``off_counts[g]`` off.  Returns (lam, loads, bound) with ``loads[0, g]``
+    the load on each on copy of group g and ``loads[1, g]`` on each free one.
+    """
+    pos, group = instance.copy_pos, instance.copy_group
+    on = pos < np.asarray(on_counts)[group]
+    off = pos >= (instance.group_multiplicities - off_counts)[group]
+    res = priced_bound(instance, np.flatnonzero(on), np.flatnonzero(off))
+    loads = np.zeros((2, len(instance.groups)))
+    loads[0, group[on]] = res.x[on]
+    loads[1, group[~on & ~off]] = res.x[~on & ~off]
+    return res.lam, loads, res.bound
+
+
+@pytest.fixture
+def priced_search(monkeypatch):
+    """Make ``solve`` search under the paper's priced node bound.
+
+    A free copy priced at its fee is at its true cost only when it carries
+    0 or the whole unit, so every t of the close rule is 1.
+    """
+    monkeypatch.setattr(bnb, "_node_classes",
+                        lambda instance: SimpleNamespace(t=np.ones(len(instance.groups))))
+    monkeypatch.setattr(bnb, "_node_relaxation",
+                        lambda instance, classes, on, off: priced_node_relaxation(instance, on, off))

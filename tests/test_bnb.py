@@ -5,18 +5,22 @@ import io
 import numpy as np
 import pytest
 
+import latalloc.bnb as bnb
 from latalloc import (
     BnbNode,
     SolveOptions,
     SolveStats,
     branch_children,
+    brute_force_optimum,
+    continuous_relaxation_bound,
     generate_random,
+    partition_reduction,
     solve,
     solve_constant_latency,
 )
 from latalloc import ConstantLatency, Instance, ResourceGroup
 
-from conftest import make_instance, random_corpus
+from conftest import exactness_instances, make_instance, priced_node_relaxation, random_corpus
 
 
 class TestBranchChildren:
@@ -108,7 +112,9 @@ class TestSolve:
             _, sb = solve(inst, SolveOptions(branching="binary"))
             assert (sn.nodes, sn.bound_evals) == (sb.nodes, sb.bound_evals)
 
-    def test_group_branching_saves_nodes_with_repeats(self):
+    def test_group_branching_saves_nodes_with_repeats(self, priced_search):
+        # under the priced bound; the perspective bound closes this instance
+        # at the root under both branchings
         inst = generate_random(12, seed=4321, multiplicity_range=(2, 4))
         _, sn = solve(inst)
         _, sb = solve(inst, SolveOptions(branching="binary"))
@@ -125,6 +131,51 @@ class TestSolve:
         # a one-group instance closes at the root, so only the constructor can catch it
         with pytest.raises(ValueError, match="ternary"):
             solve(make_instance([(2, 3)]), SolveOptions(branching="ternary"))
+
+    @pytest.mark.parametrize("weights, optimum", [
+        # every class ties at envelope slope W; loading only the last tied
+        # class at the jump, or testing ties strictly, once gave 260.399
+        ((10, 89, 24, 3, 33, 11, 80, 2), 252.0),
+        # the root settles on a class carrying 1.1e-16, read as 0 by the
+        # close rule; counting it in the support once gave 306.06
+        ((30, 69, 18, 11, 41, 53, 14, 70), 306.0),
+    ], ids=["tie-at-the-jump", "settling-class-at-zero"])
+    @pytest.mark.parametrize("bound", ["perspective", "priced"])
+    def test_partition_ties(self, weights, optimum, bound, request):
+        if bound == "priced":
+            request.getfixturevalue("priced_search")
+        alloc, stats = solve(partition_reduction(weights))
+        assert stats.status == "optimal"
+        assert alloc.value == pytest.approx(optimum, rel=1e-12)
+
+    def test_perspective_exact_and_above_priced_at_every_node(self, monkeypatch):
+        # gate-1 corpus, repeat copies and partition embeddings against
+        # enumeration; at every evaluated node the perspective bound is at
+        # least the priced one
+        rng = np.random.Generator(np.random.PCG64(808))
+        corpus = (exactness_instances()
+                  + [generate_random(4 + s % 9, seed=4100 + s, multiplicity_range=(2, 4))
+                     for s in range(40)]
+                  + [partition_reduction(rng.integers(1, 100, size=2 + s % 7).tolist())
+                     for s in range(40)])
+        below = []
+        evaluate = bnb._node_relaxation
+
+        def both(instance, classes, on, off):
+            out = evaluate(instance, classes, on, off)
+            priced = priced_node_relaxation(instance, on, off)[2]
+            if out[2] < priced - 1e-12 * max(1.0, abs(priced)):
+                below.append((instance.q, out[2], priced))
+            return out
+
+        monkeypatch.setattr(bnb, "_node_relaxation", both)
+        for inst in corpus:
+            ref = brute_force_optimum(inst).value
+            alloc, stats = solve(inst)
+            assert stats.status == "optimal"
+            assert alloc.value == pytest.approx(ref, rel=1e-9)
+            assert continuous_relaxation_bound(inst).bound <= ref + 1e-9 * max(1.0, abs(ref))
+        assert not below
 
     @pytest.mark.parametrize("limits", [
         {"node_limit": 0}, {"node_limit": -5},

@@ -144,6 +144,15 @@ class TestSolve:
         assert "optimum:           1\n" in out
         assert "root bound:        1\n" in out
 
+    def test_many_steep_copies_file_solves(self, tmp_path, capsys):
+        # each of 10 000 copies of p = 100 carries 1e-4 in the relaxation,
+        # and 1e-4**100 is below the float range; the heuristic once seeded
+        # from an empty support and died with a traceback
+        path = tmp_path / "steep100.txt"
+        path.write_text("latalloc 1\n1 100\n1 1 10000\n")
+        assert main(["solve", str(path)]) == 0
+        assert "optimum:           2\n" in capsys.readouterr().out
+
     def test_huge_multiplicity_is_input_error(self, tmp_path, capsys):
         # 10**15 copies: the per-copy arrays cannot be allocated, and the
         # request fails at once

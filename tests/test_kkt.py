@@ -82,6 +82,15 @@ class TestSolveRestricted:
         assert res.value == pytest.approx(3.0, rel=1e-12)
         assert res.lam == pytest.approx(6e-309 * 4.0 / 7.0, rel=1e-9)
 
+    def test_level_below_the_float_range(self):
+        # 10 000 active copies of p = 100: the level 101 * 1e-400 underflows,
+        # yet each copy carries 1e-4
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1.0, 100.0), 10000)])
+        res = solve_restricted(inst, range(10000))
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert res.x.tolist() == pytest.approx([1e-4] * 10000, rel=1e-12)
+        assert res.value == pytest.approx(10000.0, rel=1e-12)
+
     def test_empty_active_set_rejected(self, ladder3):
         with pytest.raises(ValueError):
             solve_restricted(ladder3, [])

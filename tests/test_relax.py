@@ -1,4 +1,6 @@
-"""Priced-relaxation solver (level kernel over sorted weighted classes) and the node bound built on it."""
+"""Priced-relaxation solver (level kernel over sorted weighted classes) and the node bounds built on it."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,13 +13,19 @@ from latalloc import (
     PowerLatency,
     ResourceGroup,
     continuous_relaxation_bound,
+    generate_random,
+    numeric_perspective,
     numeric_relaxation,
     ordering_algorithm,
+    partition_reduction,
     solve,
 )
 
-from conftest import (assert_kkt, exactness_instances, make_instance, random_corpus,
-                      run_isolated)
+from conftest import (assert_kkt, exactness_instances, make_instance, priced_bound,
+                      random_corpus, run_isolated)
+
+# the search's perspective node bound and the paper's priced bound
+BOUNDS = (continuous_relaxation_bound, priced_bound)
 
 
 class TestOrderingAlgorithm:
@@ -145,12 +153,12 @@ class TestContinuousRelaxationBound:
             continuous_relaxation_bound(ladder3, fixed_on=[2**70])
 
     def test_bounds_monotone_under_fixing(self):
-        for inst in random_corpus(15, 3, 9, 620):
-            root = continuous_relaxation_bound(inst).bound
+        for inst, bound in itertools.product(random_corpus(15, 3, 9, 620), BOUNDS):
+            root = bound(inst).bound
             for i in range(min(3, inst.q)):
-                assert continuous_relaxation_bound(inst, fixed_on=[i]).bound >= root - 1e-9
+                assert bound(inst, fixed_on=[i]).bound >= root - 1e-9
                 if inst.q > 1:
-                    assert continuous_relaxation_bound(inst, fixed_off=[i]).bound >= root - 1e-9
+                    assert bound(inst, fixed_off=[i]).bound >= root - 1e-9
 
     def test_large_level_returns(self):
         # lam passes 10 000 here, where floats are spaced wider than 1e-12; a
@@ -174,18 +182,21 @@ class TestContinuousRelaxationBound:
         ([(1.0, 1.0), (1e300, 1e-300)], 2.0),
     ], ids=["tiny-offsets", "overflow-past-support"])
     def test_whole_unit_on_the_cheaper_copy(self, rows, bound):
-        res = continuous_relaxation_bound(make_instance(rows))
-        assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert res.bound == pytest.approx(bound, rel=1e-12)
+        for kind in BOUNDS:
+            res = kind(make_instance(rows))
+            assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
+            assert res.bound == pytest.approx(bound, rel=1e-12)
 
     def test_overflowing_price_inside_support(self):
         # kappa/(2b) of the second copy overflows, yet that copy carries 95% of
         # the load; its offset lam - kappa (1.9e-300) vanishes next to lam = 1e299
-        res = continuous_relaxation_bound(make_instance([(0.0, 1e300), (1e299, 1e-300)]))
-        assert res.x == pytest.approx([0.05, 0.95], rel=1e-12)
-        assert res.lam == pytest.approx(1e299, rel=1e-12)
-        # 1e300 * 0.05**2 + 1e-300 * 0.95**2 + 1e299 * 0.95
-        assert res.bound == pytest.approx(9.75e298, rel=1e-12)
+        # (its envelope is the chord, so both bounds agree)
+        for bound in BOUNDS:
+            res = bound(make_instance([(0.0, 1e300), (1e299, 1e-300)]))
+            assert res.x == pytest.approx([0.05, 0.95], rel=1e-12)
+            assert res.lam == pytest.approx(1e299, rel=1e-12)
+            # 1e300 * 0.05**2 + 1e-300 * 0.95**2 + 1e299 * 0.95
+            assert res.bound == pytest.approx(9.75e298, rel=1e-12)
 
 
 def _reference_level(kap, b, p, w):
@@ -271,20 +282,28 @@ class TestClassKernel:
         inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1.0, 50.0)),
                                      ResourceGroup(2.0, PowerLatency(3.0, 1.0), 2),
                                      ResourceGroup(0.5, PowerLatency(2.0, 9.0))])
-        res = continuous_relaxation_bound(inst)
+        res = priced_bound(inst)
         assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
         assert res.bound == pytest.approx(numeric_relaxation(inst, inst.copy_fixed_cost),
                                           rel=1e-9)
+        res = continuous_relaxation_bound(inst)
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert res.bound == pytest.approx(numeric_perspective(inst), rel=1e-9)
 
     def test_curve_below_the_price_spacing(self):
         # 0.5 + b(1+p) rounds to 0.5, the next price: the copies priced there
         # are still in the support and carry 0.25 each
         inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-20, 1.5), 3),
                                      ResourceGroup(0.5, PowerLatency(1.0, 1.0))])
-        res = continuous_relaxation_bound(inst)
+        res = priced_bound(inst)
         assert res.x.tolist() == pytest.approx([0.25] * 4, rel=1e-12)
         assert res.bound == pytest.approx(numeric_relaxation(inst, inst.copy_fixed_cost),
                                           rel=1e-9)
+        # the envelope of the p=1.5 copies is their chord, slope 1 + 1e-20,
+        # below the other copy's slope sqrt(2): they carry the unit alone
+        res = continuous_relaxation_bound(inst)
+        assert res.x.tolist() == pytest.approx([1.0 / 3.0] * 3 + [0.0], rel=1e-12)
+        assert res.bound == pytest.approx(numeric_perspective(inst), rel=1e-9)
 
     @pytest.mark.parametrize("groups", [
         [ResourceGroup(1.0, PowerLatency(1e-300, 50.0), 10)],
@@ -295,11 +314,12 @@ class TestClassKernel:
         # the level sits b(1+p) * k**-50 above the price, which underflows to
         # 0 for k = 10 copies and to a subnormal for k = 3; the loads must still
         # fill the unit on the cheap copies
-        res = continuous_relaxation_bound(Instance.from_groups(groups))
-        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
-        k = groups[0].multiplicity
-        assert res.x[:k].tolist() == pytest.approx([1.0 / k] * k, rel=1e-12)
-        assert res.bound == pytest.approx(1.0, rel=1e-12)
+        for bound in BOUNDS:
+            res = bound(Instance.from_groups(groups))
+            assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+            k = groups[0].multiplicity
+            assert res.x[:k].tolist() == pytest.approx([1.0 / k] * k, rel=1e-12)
+            assert res.bound == pytest.approx(1.0, rel=1e-12)
 
     def test_fill_below_the_float_range(self):
         # the second class's fill unit / (b(1+p)) = 2e-300 / 3e300 underflows
@@ -311,15 +331,19 @@ class TestClassKernel:
         assert lam == pytest.approx(1e-300, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_overflowing_group_fill(self, p):
+    def test_overflowing_group_fill(self, p, request):
         # the two cheap copies fill w/(2b) = 2/6e-309, past the float range;
         # each carries half the unit
         inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(3e-309, 1.0), 2),
                                      ResourceGroup(2.0, PowerLatency(1.0, p))])
-        res = continuous_relaxation_bound(inst)
-        assert res.x.tolist() == pytest.approx([0.5, 0.5, 0.0], rel=1e-12)
-        assert res.bound == pytest.approx(1.0, rel=1e-12)
-        assert continuous_relaxation_bound(inst, [0, 1]).bound == pytest.approx(2.0, rel=1e-12)
+        for bound in BOUNDS:
+            res = bound(inst)
+            assert res.x.tolist() == pytest.approx([0.5, 0.5, 0.0], rel=1e-12)
+            assert res.bound == pytest.approx(1.0, rel=1e-12)
+            assert bound(inst, [0, 1]).bound == pytest.approx(2.0, rel=1e-12)
+        alloc, stats = solve(inst)
+        assert alloc.value == pytest.approx(1.0, rel=1e-12) and stats.status == "optimal"
+        request.getfixturevalue("priced_search")
         alloc, stats = solve(inst)
         assert alloc.value == pytest.approx(1.0, rel=1e-12) and stats.status == "optimal"
 
@@ -334,10 +358,28 @@ def _spread(rng, inst, on, off):
     return fixed_on, fixed_off
 
 
+def _one_class_per_copy(inst, fixed_on, fixed_off):
+    """Per-copy loads and bound of the perspective node relaxation, every copy its own class."""
+    on = np.zeros(inst.q, dtype=bool)
+    on[fixed_on] = True
+    keep = np.ones(inst.q, dtype=bool)
+    keep[fixed_off] = False
+    slope, _ = relax._envelope(inst.copy_fixed_cost, inst.copy_b, inst.copy_p)
+    slope[on] = 0.0
+    sel = np.flatnonzero(keep)[np.argsort(slope[keep], kind="stable")]
+    b, p = inst.copy_b[sel], inst.copy_p[sel]
+    _, x_s, bound = relax._perspective(slope[sel], np.where(on, 0.0, inst.copy_fixed_cost)[sel],
+                                       b, p, (b * (1.0 + p)) ** (-1.0 / p), np.ones(sel.size))
+    x = np.zeros(inst.q)
+    x[sel[:x_s.size]] = x_s
+    return x, bound + float(inst.copy_fixed_cost[on].sum())
+
+
 def test_group_classes_match_one_class_per_copy():
     # the node bound works on per-group counts; pricing every copy as its own
-    # class (ordering_algorithm) must give the same bound and support, wherever
-    # inside its group a fixed copy sits
+    # class must give the same bound and the same load on each group's on and
+    # free copies, wherever inside its group a fixed copy sits (copies of one
+    # group tie in slope, so the settling group's load may split unevenly)
     rng = np.random.Generator(np.random.PCG64(66))
     for inst in exactness_instances():
         mult = inst.group_multiplicities
@@ -350,13 +392,74 @@ def test_group_classes_match_one_class_per_copy():
                  np.flatnonzero(pos >= (mult - off)[group]).tolist())
         for fixed_on, fixed_off in (front, _spread(rng, inst, on, off)):
             res = continuous_relaxation_bound(inst, fixed_on, fixed_off)
-            kappa = inst.copy_fixed_cost.copy()
-            kappa[fixed_on] = 0.0
-            avail = sorted(set(range(inst.q)) - set(fixed_off))
-            ref = ordering_algorithm(inst, kappa, available=avail)
-            paid = float(inst.copy_fixed_cost[fixed_on].sum())
-            assert res.bound == pytest.approx(ref.bound + paid, rel=1e-12)
-            assert res.x == pytest.approx(ref.x, abs=1e-12)
-            counts = np.bincount(group[sorted(res.support)], minlength=mult.size)
-            assert counts.tolist() == np.bincount(group[sorted(ref.support)],
-                                                  minlength=mult.size).tolist()
+            x, bound = _one_class_per_copy(inst, fixed_on, fixed_off)
+            assert res.bound == pytest.approx(bound, rel=1e-12)
+            is_on = np.isin(np.arange(inst.q), fixed_on)
+            for part in (is_on, ~is_on):
+                assert np.bincount(group[part], res.x[part], mult.size) \
+                    == pytest.approx(np.bincount(group[part], x[part], mult.size), abs=1e-12)
+
+
+class TestPerspectiveBound:
+    @pytest.mark.parametrize("c, b, p, s, t", [
+        # theta = (p b / c)**(1/(p+1)) = 2: s = c theta (1+p)/p, t = 1/2
+        (1.0, 4.0, 1.0, 4.0, 0.5),
+        (2.0, 8.0, 2.0, 2.0 * 2.0 * 1.5, 0.5),
+        # p b < c: theta = 1, the chord to x = 1, h(1) = c + b = 11
+        (10.0, 1.0, 1.0, 11.0, 1.0),
+        # no fee: the curve itself
+        (0.0, 3.0, 1.5, 0.0, 0.0),
+        # c / (p b) = 1e-600 leaves the float range, t = 1e-300 does not
+        (1e-300, 1e300, 1.0, 2.0, 1e-300),
+        # both factors of t overflow their product
+        (1e308, 3e-309, 1.0, 1e308, 1.0),
+    ], ids=["theta-2", "theta-2-quadratic", "chord", "no-fee", "tiny-ratio", "huge-ratio"])
+    def test_envelope(self, c, b, p, s, t):
+        got_s, got_t = relax._envelope(np.array([c]), np.array([b]), np.array([p]))
+        assert got_s[0] == pytest.approx(s, rel=1e-12)
+        assert got_t[0] == pytest.approx(t, rel=1e-12)
+
+    def test_matches_the_projected_gradient_oracle(self):
+        # root and random nodes, mixed multiplicities and exponents
+        rng = np.random.Generator(np.random.PCG64(880))
+        for s in range(45):
+            inst = generate_random(2 + s % 11, seed=8800 + s, multiplicity_range=(1, 3),
+                                   exponent=(1.0, 1.5, 2.0)[s % 3])
+            for trial in range(3):
+                perm = rng.permutation(inst.q)
+                n_on = int(rng.integers(0, inst.q)) if trial else 0
+                n_off = int(rng.integers(0, inst.q - n_on)) if trial else 0
+                on, off = perm[:n_on].tolist(), perm[n_on:n_on + n_off].tolist()
+                fast = continuous_relaxation_bound(inst, on, off)
+                assert fast.bound == pytest.approx(numeric_perspective(inst, on, off), abs=1e-6)
+                assert float(fast.x.sum()) == pytest.approx(1.0, abs=1e-12)
+                priced = priced_bound(inst, on, off).bound
+                assert fast.bound >= priced - 1e-12 * max(1.0, abs(priced))
+
+    @pytest.mark.parametrize("weights", [(10, 89, 24, 3, 33, 11, 80, 2),
+                                         (30, 69, 18, 11, 41, 53, 14, 70)])
+    def test_tied_slopes_jump_together(self, weights):
+        # every partition copy has envelope slope W, the weight total; at
+        # lam = W each class before the settling one carries its full t =
+        # 2w/W, the settling one the rest of the unit, later ones nothing,
+        # and the bound is W
+        inst = partition_reduction(weights)
+        res = continuous_relaxation_bound(inst)
+        W = float(sum(weights))
+        t = 2.0 * np.asarray(weights) / W
+        assert res.lam == pytest.approx(W, rel=1e-12)
+        assert res.bound == pytest.approx(W, rel=1e-12)
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        full = np.isclose(res.x, t, rtol=1e-12, atol=0.0)
+        partial = (res.x > 0.0) & ~full
+        assert np.all(res.x[partial] < t[partial]) and partial.sum() <= 1
+
+    def test_many_steep_copies_keep_their_load(self):
+        # 10 000 copies of p = 100 each carry 1e-4, whose 100th power is below
+        # the float range; the level kernel once read their loads as 0
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1.0, 100.0), 10000)])
+        res = ordering_algorithm(inst, inst.copy_fixed_cost)
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        res = continuous_relaxation_bound(inst)
+        assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert res.x.tolist() == pytest.approx([1e-4] * 10000, rel=1e-12)
