@@ -167,6 +167,9 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 def cmd_generate(args) -> int:
     try:
+        if args.klass != "random" and args.exponent != 1.0:
+            raise CliError(f"--exponent applies to class random only; {args.klass} "
+                           f"instances are linear, got --exponent {args.exponent:g}")
         if args.klass == "partition":
             weights = tuple(int(w) for w in args.spec.split())
             if not weights:
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("klass", choices=["base", "random", "partition"], metavar="class")
     pg.add_argument("spec", help="q for base/random, a quoted weight list for partition")
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--exponent", type=float, default=1.0)
+    pg.add_argument("--exponent", type=float, default=1.0,
+                    help="latency exponent p of class random (base and partition are linear)")
     pg.add_argument("--out", required=True)
     pg.set_defaults(func=cmd_generate)
 

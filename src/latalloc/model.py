@@ -20,6 +20,13 @@ import numpy as np
 # Feasibility tolerance on an allocation's total fraction.
 SUM_TOL = 1e-9
 
+# Largest accepted power exponent.  The perspective bound's Lagrangean term
+# loses precision as p grows: over small random instances its root never
+# passed the optimum up to p = 1e8, but overshot it by 6e-13 relative at
+# p = 1e10, 6e-9 at p = 1e12 (past the search's prune tolerance) and 0.6%
+# at p = 1e15.
+MAX_EXPONENT = 1e6
+
 
 class LatencyFamily:
     """Per-unit latency f of a resource as a function of its load.
@@ -40,7 +47,7 @@ class LatencyFamily:
 
 @dataclass(frozen=True)
 class PowerLatency(LatencyFamily):
-    """f(z) = b * z**p with b > 0 and p >= 1, so f(0) = 0.
+    """f(z) = b * z**p with b > 0 and 1 <= p <= MAX_EXPONENT, so f(0) = 0.
 
     The marginal scale b(1+p) and its reciprocal must both be finite: the
     solvers divide by one and bracket the marginal level with the other.
@@ -54,6 +61,8 @@ class PowerLatency(LatencyFamily):
             raise ValueError(f"power latency needs finite b > 0, got {self.b}")
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"power latency needs finite p >= 1, got {self.p}")
+        if self.p > MAX_EXPONENT:
+            raise ValueError(f"power latency needs p <= {MAX_EXPONENT:g}, got {self.p}")
         curve = self.b * (1.0 + self.p)
         if not (math.isfinite(curve) and math.isfinite(1.0 / curve)):
             raise ValueError(f"power latency needs finite b(1+p) and 1/(b(1+p)), "

@@ -11,12 +11,10 @@ exactly that constant on the simplex, so the kernels solve in shifted prices
 
 The demand D_m poured before the level reaches breakpoint kappa_m is
 nondecreasing in m, so the support is the prefix of classes with D_m < 1,
-ties included.  With linear latencies class i carries (lam - kappa_i)/(2 b_i)
-per copy, so D_m is a prefix sum and the level on the last interval has a
-closed form: one pass after the sort (``_scan_linear``).  Other exponents
-(``_level``) find the last class h of the support by bisecting over the class
-index, one pass over the prefix per probe, then solve the last interval by
-Newton in z, where lam = kappa_h + u z^P:
+ties included.  ``_level``, the one kernel for every exponent, finds the
+last class h of the support by bisecting over the class index
+(``_last_below``, one pass over the prefix per probe), then solves the last
+interval by Newton in z, where lam = kappa_h + u z^P:
 
 * P is the largest exponent in the support.  With d_i = kappa_h - kappa_i,
   class i carries ((d_i + u z^P) / (b_i(1+p_i)))^(1/p_i) per copy, a power
@@ -31,10 +29,11 @@ Newton in z, where lam = kappa_h + u z^P:
   (u / (b_i(1+p_i)))^(1/p_i) per copy, formed without its x^p, which can
   pass below the float range where x does not.
 
-Together with the sort that is O(n log n) per bound.  Both kernels build the
-offsets lam - kappa_i from the share poured into the last interval, not from
-lam, so the loads keep their precision where lam dwarfs them.  The restricted
-solves in ``kkt`` reuse ``_level`` for mixed exponents.
+With linear latencies (P = 1) the demand is linear in z, so Newton reaches
+the root in one step, up to rounding.  Together with the sort that is
+O(n log n) per bound.  The loads are built from the offsets kappa_h - kappa_i
+and the fill, not from lam, so they keep their precision where lam dwarfs
+them.  The restricted solves in ``kkt`` reuse ``_level`` for mixed exponents.
 
 Pricing every copy at its fee, kappa_i = c_i, gives the paper's root bound
 (``ordering_algorithm(instance, instance.copy_fixed_cost)``), which equals
@@ -57,15 +56,15 @@ The classes are sorted by s, ties in group order, and scanned with
 cumulative tie semantics: when the level reaches s_k every earlier class in
 sort order has made its full jump, ties included, so the demand D(s_k+) is
 nondecreasing in k and the first class k with D(s_k+) >= 1 settles the
-level (one cumulative pass for linear classes, a bisection over the class
-index for other exponents, ``_settle``).  If the
-classes before k already pour 1 just below s_k, lam lies inside that
-interval, where they all sit on their curves: a closed form for linear
-classes, ``_level`` at zero prices otherwise.  Otherwise lam = s_k and class
-k carries the rest of the unit.  Loading only the last of several tied
-classes, or counting a tie as active only strictly above its slope, breaks
-that monotonicity and gives wrong optima on partition embeddings, where
-every class ties at s = W.
+level.  For linear classes D(s_k+) is s_k times a prefix sum, so one
+cumulative pass finds k; for other exponents ``_last_below`` bisects over
+the class index, as it does for ``_level``.  If the classes before k
+already pour 1 just below s_k, lam lies inside that interval, where they
+all sit on their curves: a closed form for linear classes, ``_level`` at
+zero prices otherwise.  Otherwise lam = s_k and class k carries the rest of
+the unit.  Loading only the last of several tied classes, or counting a tie
+as active only strictly above its slope, breaks that monotonicity and gives
+wrong optima on partition embeddings, where every class ties at s = W.
 
 The bound is the Lagrangean value L(lam) = lam + sum w min_x (h(x) - lam x)
 plus the fees of the copies already on, valid at any lam.  It is never below
@@ -94,50 +93,28 @@ class DualResult:
     support: frozenset
     x: np.ndarray
     bound: float
-    h: int
 
 
 def _stable_argsort(values):
     return np.argsort(values, kind="stable")
 
 
-def _linear_fills(b, w, search):
-    """Cumulative fills w / (2b) of linear classes, searched by ``search(fill, unit)``.
+def _last_below(demand, lo, hi):
+    """Last class index m in [lo, hi) with demand(m) < 1, and that demand, by bisection.
 
-    ``search`` returns a tuple led by the index of the last fill it reads
-    (or ``len(fill)``).  The fills are counted in ``unit`` = 1; where the one
-    read passes the float range, as w / (2b) does for b near 1e-308, they are
-    counted again in units of 2**-128, a power-of-two scaling, and searched
-    once more.  Returns (fill, unit, the search's tuple).
+    ``demand`` is nondecreasing in m and reads 0 at ``lo``, which is not
+    probed (it may be -1, before the first class); every m >= ``hi`` is taken
+    to fail.  One call of ``demand`` per probe.
     """
-    for unit in (1.0, 2.0 ** -128):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # fills past the one the search reads may overflow; it never reads them
-            fill = (w * (0.5 * unit) / b).cumsum()
-            found = search(fill, unit)
-        if fill[min(found[0], fill.size - 1)] < math.inf:
-            break
-    return fill, unit, found
-
-
-def _scan_linear(kap, b, w):
-    """Level lam and per-copy loads of the support for linear classes sorted by shifted price.
-
-    ``kap`` is ascending with ``kap[0] == 0``, so the first class always
-    passes.  Class h passes iff the demand D_h poured before the level
-    reaches kappa_h is below 1; the loads cover the classes up to the last
-    passing one, every later class carries 0.  The demand is counted in the
-    unit of ``_linear_fills``.
-    """
-    def first_failing(fill, unit):
-        demand = (fill[:-1] * (kap[1:] - kap[:-1])).cumsum()
-        # demand is nondecreasing, so the first failing class is found by bisection
-        h = int(demand.searchsorted(unit))
-        return h, demand[h - 1] if h else 0.0
-
-    fill, unit, (h, poured) = _linear_fills(b, w, first_failing)
-    rest = (unit - poured) / fill[h]
-    return float(kap[h] + rest), ((kap[h] - kap[:h + 1]) + rest) / (2.0 * b[:h + 1])
+    below = 0.0
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        demand_m = demand(m)
+        if demand_m < 1.0:
+            lo, below = m, demand_m
+        else:
+            hi = m
+    return lo, below
 
 
 def _level(kap, b, p, w):
@@ -159,15 +136,9 @@ def _level(kap, b, p, w):
     scale = 1.0 / curve
     root = 1.0 / p
     top = int(kap.searchsorted((kap + curve).min(), "right"))
-    h = int(kap.searchsorted(0.0, "right")) - 1
-    fail, poured = top, 0.0
-    while fail - h > 1:
-        m = (h + fail) // 2
-        demand = float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum())
-        if demand < 1.0:
-            h, poured = m, demand
-        else:
-            fail = m
+    h, poured = _last_below(
+        lambda m: float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum()),
+        int(kap.searchsorted(0.0, "right")) - 1, top)
     n = h + 1
     d, s, r, w = kap[h] - kap[:n], scale[:n], root[:n], w[:n]
     tied = d == 0.0
@@ -220,11 +191,7 @@ def _solve_classes(kap, b, p, w):
     if kap.size == 0:
         raise ValueError("no available resource can carry the demand")
     shift = kap[0]
-    # every p is >= 1, so the classes are linear iff the largest p is 1
-    if p.max() == 1.0:
-        lam, x = _scan_linear(kap - shift, b, w)
-    else:
-        lam, x = _level(kap - shift, b, p, w)
+    lam, x = _level(kap - shift, b, p, w)
     n = x.size
     obj = float(w[:n] @ (b[:n] * x ** (1.0 + p[:n]) + kap[:n] * x))
     return lam + shift, x, obj
@@ -262,7 +229,7 @@ def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:
     x = np.zeros(instance.q)
     x[sel[:x_s.size]] = x_s
     support = frozenset(np.flatnonzero(x > 0.0).tolist())
-    return DualResult(lam=float(lam), support=support, x=x, bound=obj, h=len(support))
+    return DualResult(lam=float(lam), support=support, x=x, bound=obj)
 
 
 def _envelope(c, b, p):
@@ -299,14 +266,23 @@ def _perspective(s, c, b, p, g1, w):
         # products past the settling class may overflow; none of them is read
         if linear:
             # D(s_k+) = s_k * sum_{j <= k} w_j / (2 b_j) is nondecreasing in k,
-            # so one cumulative sum and one bisection find k
-            fill, unit, (k,) = _linear_fills(
-                b, w, lambda fill, unit: (int((s * fill).searchsorted(unit)),))
+            # so one cumulative sum and one bisection find k.  The fills are
+            # counted in unit = 1; where the one read passes the float range,
+            # as w / (2b) does for b near 1e-308, they are counted again in
+            # units of 2**-128, a power-of-two scaling
+            for unit in (1.0, 2.0 ** -128):
+                fill = (w * (0.5 * unit) / b).cumsum()
+                k = int((s * fill).searchsorted(unit))
+                if fill[min(k, n - 1)] < math.inf:
+                    break
         else:
-            k = _settle(s, p, g1, w)
+            # no class settles at slope 0, where every load is 0
+            r = 1.0 / p
+            k = _last_below(lambda m: float(w[:m + 1] @ (s[m] ** r[:m + 1] * g1[:m + 1])),
+                            int(s.searchsorted(0.0, "right")) - 1, n)[0] + 1
         if k < n:
             # the loads of the classes before k at lam = s_k
-            x = s[k] * g1[:k] if linear else s[k] ** (1.0 / p[:k]) * g1[:k]
+            x = s[k] * g1[:k] if linear else s[k] ** r[:k] * g1[:k]
             pour = float(w[:k] @ x)
     if k < n and pour < 1.0:
         lam, loads = float(s[k]), np.concatenate((x, [(1.0 - pour) / w[k]]))
@@ -320,24 +296,6 @@ def _perspective(s, c, b, p, g1, w):
         pour, loads = float(w[:k] @ x), x
     curve = b[:k] * (x * x if linear else x ** (1.0 + p[:k]))
     return lam, loads, float(w[:k] @ (c[:k] + curve)) + lam * (1.0 - pour)
-
-
-def _settle(s, p, g1, w):
-    """Settling class for any exponents: bisection over the class index, one pass per probe.
-
-    D(s_k+) = sum_{j <= k} w_j s_k**(1/p_j) g1_j counts every class before k
-    in sort order, ties included, so it is nondecreasing in k.  No class
-    settles at slope 0, where every load is 0.  Returns len(s) if none does.
-    """
-    r = 1.0 / p
-    lo, k = int(s.searchsorted(0.0, "right")) - 1, s.size
-    while k - lo > 1:
-        m = (lo + k) // 2
-        if float(w[:m + 1] @ (s[m] ** r[:m + 1] * g1[:m + 1])) >= 1.0:
-            k = m
-        else:
-            lo = m
-    return k
 
 
 class NodeClasses(NamedTuple):
@@ -409,4 +367,4 @@ def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -
         np.bincount(group[off_mask], minlength=n_groups))
     x = np.where(on_mask, loads[0, group], np.where(off_mask, 0.0, loads[1, group]))
     support = frozenset(np.flatnonzero(x > 0.0).tolist())
-    return DualResult(lam=float(lam), support=support, x=x, bound=value, h=len(support))
+    return DualResult(lam=float(lam), support=support, x=x, bound=value)

@@ -153,6 +153,15 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "optimum:           2\n" in capsys.readouterr().out
 
+    def test_huge_exponent_is_input_error(self, tmp_path, capsys):
+        # at p = 1e15 the root bound 17169.67 passed the optimum 17068.27 and
+        # the run stopped on the invariant with exit 4
+        path = tmp_path / "steep.txt"
+        path.write_text("latalloc 1\n1 1e15\n0 17068.265029174312 1\n")
+        assert main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "line 3: invalid resource" in err and "p <= 1e+06" in err
+
     def test_huge_multiplicity_is_input_error(self, tmp_path, capsys):
         # 10**15 copies: the per-copy arrays cannot be allocated, and the
         # request fails at once
@@ -209,6 +218,16 @@ class TestGenerate:
     def test_bad_q(self, capsys):
         assert main(["generate", "base", "ten", "--out", "/tmp/x.txt"]) == 3
         assert "expected an integer q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["base", "4"], ["partition", "2 3 5 4"]],
+                             ids=["base", "partition"])
+    def test_exponent_outside_random_is_input_error(self, tmp_path, capsys, argv):
+        # these classes are linear; the flag was once dropped without a word
+        out = tmp_path / "x.txt"
+        assert main(["generate", *argv, "--exponent", "2", "--out", str(out)]) == 3
+        assert "--exponent applies to class random only" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["generate", *argv, "--exponent", "1", "--out", str(out)]) == 0
 
     def test_unknown_class(self, capsys):
         assert main(["generate", "mystery", "5", "--out", "/tmp/x.txt"]) == 3

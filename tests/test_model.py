@@ -100,6 +100,14 @@ class TestResourceGroup:
         with pytest.raises(ValueError, match="finite b\\(1\\+p\\)"):
             PowerLatency(b, p)
 
+    @pytest.mark.parametrize("p", [1e6 * (1.0 + 2.0 ** -52), 1e15], ids=["above-1e6", "1e15"])
+    def test_exponent_above_limit_rejected(self, p):
+        # past p = 1e6 the perspective bound loses precision; at p = 1e15 its
+        # root overshot the optimum by 0.6%
+        with pytest.raises(ValueError, match="p <= 1e\\+06"):
+            PowerLatency(17068.265029174312, p)
+        assert PowerLatency(17068.265029174312, 1e6).p == 1e6
+
     def test_gamma_frozen(self):
         g = ResourceGroup(2.0, PowerLatency(3.0, 1.0))
         assert gamma(g, 0.0) == 0.0

@@ -37,7 +37,7 @@ class TestOrderingAlgorithm:
         assert res.x == pytest.approx([9.0 / 22.0, 4.0 / 11.0, 5.0 / 22.0], abs=1e-12)
         assert res.bound == pytest.approx(29.0 / 11.0, abs=1e-12)
         assert res.support == frozenset({0, 1, 2})
-        assert res.h == 3
+        assert len(res.support) == 3
 
     def test_large_price_excluded(self):
         inst = make_instance([(1, 1), (1, 1)])
@@ -237,24 +237,28 @@ def _check_classes(kap, b, p, w, oracle=True):
 
 
 class TestClassKernel:
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), wide=st.booleans())
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), wide=st.booleans(),
+           linear=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_random_classes(self, seed, n, wide):
+    def test_random_classes(self, seed, n, wide, linear):
+        # ``linear`` draws p = 1 for every class, the sets the priced root
+        # bound solves on linear instances
         rng = np.random.Generator(np.random.PCG64(seed))
         if wide:
             # coefficients and prices over many decades, steep exponents and up
             # to 40 classes, checked against the reference bisection and the
             # demand but not the oracle
             n = int(rng.integers(1, 41))
-            _check_classes(np.sort(10.0 ** rng.uniform(-12.0, 3.0, n)),
-                           10.0 ** rng.uniform(-6.0, 4.0, n),
-                           rng.choice([1.0, 1.5, 2.0, 3.0, 7.0], n), rng.integers(1, 5, n),
-                           oracle=False)
+            kap = np.sort(10.0 ** rng.uniform(-12.0, 3.0, n))
+            b = 10.0 ** rng.uniform(-6.0, 4.0, n)
+            p = np.ones(n) if linear else rng.choice([1.0, 1.5, 2.0, 3.0, 7.0], n)
+            _check_classes(kap, b, p, rng.integers(1, 5, n), oracle=False)
             return
         # multiples of 1/8 make tied prices common
         kap = np.sort(np.round(rng.uniform(0.0, 3.0, n) * 8.0) / 8.0)
-        _check_classes(kap - kap[0], rng.uniform(0.2, 9.0, n),
-                       rng.choice([1.0, 1.5, 2.0], n), rng.integers(1, 5, n))
+        b = rng.uniform(0.2, 9.0, n)
+        p = np.ones(n) if linear else rng.choice([1.0, 1.5, 2.0], n)
+        _check_classes(kap - kap[0], b, p, rng.integers(1, 5, n))
 
     @pytest.mark.parametrize("kap, b, p, w", [
         # class 0 alone carries one unit at lam = b(1+p) = 2.5, the next price
