@@ -9,9 +9,9 @@ NP-hard), independent oracles, and a small CLI.
 
 from .bnb import BnbNode, SolveOptions, SolveStats, branch_children, solve
 from .heuristic import primal_heuristic
-from .instances import (GeneratorSpec, InstanceFormatError, generate_base,
-                        generate_random, partition_reduction, read_instance,
-                        validate_nondominated, write_instance)
+from .instances import (InstanceFormatError, generate_base, generate_random,
+                        partition_reduction, read_instance, validate_nondominated,
+                        write_instance)
 from .kkt import (RestrictedResult, solve_constant_latency, solve_identical,
                   solve_restricted)
 from .model import (Allocation, ConstantLatency, Instance, LatencyFamily,
@@ -26,7 +26,6 @@ __all__ = [
     "BnbNode",
     "ConstantLatency",
     "DualResult",
-    "GeneratorSpec",
     "Instance",
     "InstanceFormatError",
     "LatencyFamily",

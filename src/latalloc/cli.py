@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .bnb import SolveOptions, SolveStats, solve
 from .heuristic import primal_heuristic
-from .instances import GeneratorSpec, read_instance, write_instance
+from .instances import (generate_base, generate_random, partition_reduction, read_instance,
+                        write_instance)
 from .model import Instance
 from .relax import continuous_relaxation_bound
 
@@ -165,67 +166,86 @@ def _emit(report: RunReport, fmt: str) -> None:
         print(report.text())
 
 
+def _ints(key, values):
+    """The counts of a suite entry under ``key``; a bool or a non-integral number raises."""
+    if not isinstance(values, list) or not all(
+            type(v) is int or type(v) is float and v.is_integer() for v in values):
+        raise ValueError(f"{key}: expected integers, got {values!r}")
+    return [int(v) for v in values]
+
+
+def _sizes(entry):
+    return _ints("sizes", entry["sizes"]) if "sizes" in entry else _ints("q", [entry["q"]])
+
+
+def _seeds(entry):
+    if "seeds" in entry:
+        return _ints("seeds", entry["seeds"])
+    return list(range(1, _ints("repetitions", [entry.get("repetitions", 1)])[0] + 1))
+
+
+# One row per instance class: the keys its suite entry may carry besides
+# "class" and "modes" (generate's positional spec fills the first), and the
+# expansion of an entry into (label, Instance) pairs.
+INSTANCE_CLASSES = {
+    "base": (("q", "sizes"), lambda e: [(f"b{q}", generate_base(q)) for q in _sizes(e)]),
+    "random": (("q", "sizes", "seeds", "repetitions", "exponent"),
+               lambda e: [(f"r{q}-s{s}", generate_random(q, s, exponent=e.get("exponent", 1)))
+                          for q in _sizes(e) for s in _seeds(e)]),
+    "partition": (("weights",), lambda e: [("p" + "+".join(map(str, w)), partition_reduction(w))
+                                           for w in [_ints("weights", e["weights"])]]),
+}
+
+
+def entry_instances(entry) -> list:
+    """The (label, Instance) pairs of one suite entry; ValueError names what is wrong with it."""
+    klass = entry.get("class") if isinstance(entry, dict) else entry
+    if klass not in INSTANCE_CLASSES:
+        raise ValueError(f"unknown instance class {klass!r}")
+    keys, expand = INSTANCE_CLASSES[klass]
+    if entry.get("exponent", 1) != 1 and "exponent" not in keys:
+        raise ValueError(f"exponent applies to class random only; {klass} instances are "
+                         f"linear, got exponent {entry['exponent']}")
+    extra = sorted(set(entry) - {"class", "modes", "exponent", *keys})
+    if extra:
+        raise ValueError(f"class {klass} takes no key {extra[0]!r} (it takes {', '.join(keys)})")
+    for many, one in (("sizes", "q"), ("seeds", "repetitions")):
+        if many in entry and one in entry:
+            raise ValueError(f"give {many} or {one}, not both")
+    if not isinstance(entry.get("modes", []), list):
+        raise ValueError(f"modes must be a list, got {entry['modes']!r}")
+    return expand(entry)
+
+
 def cmd_generate(args) -> int:
+    keys = INSTANCE_CLASSES[args.klass][0]
     try:
-        if args.klass != "random" and args.exponent != 1.0:
-            raise CliError(f"--exponent applies to class random only; {args.klass} "
-                           f"instances are linear, got --exponent {args.exponent:g}")
-        if args.klass == "partition":
-            weights = tuple(int(w) for w in args.spec.split())
-            if not weights:
-                raise CliError("partition needs a nonempty weight list, e.g. \"2 3 5 4\"")
-            gen = GeneratorSpec(kind="partition", weights=weights)
-            comments = [f"partition weights {' '.join(str(w) for w in weights)} "
-                        f"(W={sum(weights)})"]
-        else:
-            try:
-                q = int(args.spec)
-            except ValueError:
-                raise CliError(f"expected an integer q for class {args.klass}, "
-                               f"got {args.spec!r}") from None
-            gen = GeneratorSpec(kind=args.klass, q=q, seed=args.seed, exponent=args.exponent)
-            comments = [f"{args.klass} instance q={q}"
-                        + (f" seed={args.seed}" if args.klass == "random" else "")]
-        instance = gen.build()
-        write_instance(instance, args.out, comments=comments)
-    except (CliError, ValueError, OSError) as err:
+        spec = int(args.spec) if keys[0] == "q" else [int(w) for w in args.spec.split()]
+    except ValueError:
+        raise CliError(f"expected an integer {keys[0]} for class {args.klass}, "
+                       f"got {args.spec!r}") from None
+    entry = {"class": args.klass, keys[0]: spec, "exponent": args.exponent}
+    if args.seed is not None or "seeds" in keys:
+        entry["seeds"] = [args.seed or 0]
+    try:
+        [(label, instance)] = entry_instances(entry)
+        write_instance(instance, args.out, comments=[f"{label}: {json.dumps(entry)}"])
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    print(f"wrote {gen.label()}: {len(instance.groups)} groups, q={instance.q} -> {args.out}")
+    print(f"wrote {label}: {len(instance.groups)} groups, q={instance.q} -> {args.out}")
     return EXIT_OK
 
 
 def _bench_jobs(suite):
-    """Expand a suite spec into an ordered list of (Instance, label, class, SolveOptions).
-
-    Every instance and option set is built here, so a malformed entry raises
-    (ValueError, TypeError or KeyError) before any job runs.
-    """
+    """The (Instance, label, class, SolveOptions) jobs of a suite, all built before any runs."""
     if not isinstance(suite, dict):
         raise ValueError('expected an object with an "entries" list')
     jobs = []
     for entry in suite.get("entries", []):
-        klass = entry["class"]
+        pairs = entry_instances(entry)
         options = [SolveOptions(branching=mode) for mode in entry.get("modes", ["nary"])]
-        if klass == "partition":
-            weights = tuple(int(w) for w in entry["weights"])
-            specs = [GeneratorSpec(kind="partition", weights=weights)]
-        elif klass in ("base", "random"):
-            sizes = entry.get("sizes") or [entry["q"]]
-            if klass == "random":
-                seeds = entry.get("seeds")
-                if seeds is None:
-                    seeds = list(range(1, int(entry.get("repetitions", 1)) + 1))
-                specs = [GeneratorSpec(kind="random", q=int(q), seed=int(s),
-                                       exponent=float(entry.get("exponent", 1.0)))
-                         for q in sizes for s in seeds]
-            else:
-                specs = [GeneratorSpec(kind="base", q=int(q)) for q in sizes]
-        else:
-            raise ValueError(f"unknown instance class {klass!r}")
-        for spec in specs:
-            instance = spec.build()
-            jobs += [(instance, spec.label(), spec.kind, opts) for opts in options]
+        jobs += [(inst, label, entry["class"], opts) for label, inst in pairs for opts in options]
     return jobs
 
 
@@ -255,7 +275,12 @@ def cmd_bench(args) -> int:
     reports = []
     interrupted = False
     failure = None
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(args.out, "w", newline="", encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write the CSV: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -317,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("generate", help="write an instance file")
-    pg.add_argument("klass", choices=["base", "random", "partition"], metavar="class")
+    pg.add_argument("klass", choices=list(INSTANCE_CLASSES), metavar="class")
     pg.add_argument("spec", help="q for base/random, a quoted weight list for partition")
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=int, default=None, help="seed of class random (default 0)")
     pg.add_argument("--exponent", type=float, default=1.0,
                     help="latency exponent p of class random (base and partition are linear)")
     pg.add_argument("--out", required=True)

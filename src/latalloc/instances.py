@@ -9,8 +9,6 @@ so a given seed produces the same instance on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Instance, PowerLatency, ResourceGroup
@@ -163,35 +161,6 @@ def validate_nondominated(instance: Instance):
             if i != j and _dominates(pi, pj):
                 violations.append(f"group {i} dominates group {j}")
     return violations
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of one instance, used by the benchmark harness."""
-
-    kind: str                       # "base" | "random" | "partition"
-    q: int | None = None
-    seed: int | None = None
-    exponent: float = 1.0
-    weights: tuple | None = None
-
-    def build(self) -> Instance:
-        if self.kind == "base":
-            return generate_base(self.q)
-        if self.kind == "random":
-            return generate_random(self.q, seed=self.seed or 0, exponent=self.exponent)
-        if self.kind == "partition":
-            return partition_reduction(self.weights)
-        raise ValueError(f"unknown instance class {self.kind!r}")
-
-    def label(self) -> str:
-        if self.kind == "base":
-            return f"b{self.q}"
-        if self.kind == "random":
-            return f"r{self.q}-s{self.seed or 0}"
-        if self.kind == "partition":
-            return "p" + "+".join(str(int(w)) for w in self.weights)
-        return self.kind
 
 
 def _fmt(v: float) -> str:

@@ -199,11 +199,16 @@ def _solve_classes(kap, b, p, w):
 
 def _copy_mask(instance: Instance, indices):
     """Mask of the copies in ``indices``; raises ValueError on an index out of range."""
+    try:
+        idx = (np.asarray(indices, dtype=np.intp) if isinstance(indices, np.ndarray)
+               else np.fromiter(indices, dtype=np.intp))
+    except OverflowError:
+        raise ValueError(f"copy index too large, out of range [0, {instance.q})") from None
+    if idx.size and not 0 <= idx.min() <= idx.max() < instance.q:
+        bad = idx[(idx < 0) | (idx >= instance.q)][0]
+        raise ValueError(f"copy index {bad} out of range [0, {instance.q})")
     mask = np.zeros(instance.q, dtype=bool)
-    for i in indices:
-        if not 0 <= int(i) < instance.q:
-            raise ValueError(f"copy index {i} out of range [0, {instance.q})")
-        mask[int(i)] = True
+    mask[idx] = True
     return mask
 
 

@@ -3,16 +3,18 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import latalloc.cli
 from latalloc import (continuous_relaxation_bound, generate_base, generate_random,
-                      read_instance, solve, write_instance)
-from latalloc.cli import CSV_COLUMNS, main
+                      partition_reduction, read_instance, solve, write_instance)
+from latalloc.cli import CSV_COLUMNS, INSTANCE_CLASSES, main
 
 from conftest import run_isolated
 
@@ -225,9 +227,17 @@ class TestGenerate:
         # these classes are linear; the flag was once dropped without a word
         out = tmp_path / "x.txt"
         assert main(["generate", *argv, "--exponent", "2", "--out", str(out)]) == 3
-        assert "--exponent applies to class random only" in capsys.readouterr().err
+        assert "exponent applies to class random only" in capsys.readouterr().err
         assert not out.exists()
         assert main(["generate", *argv, "--exponent", "1", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [["base", "4"], ["partition", "2 3 5 4"]],
+                             ids=["base", "partition"])
+    def test_seed_outside_random_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.txt"
+        assert main(["generate", *argv, "--seed", "5", "--out", str(out)]) == 3
+        assert "takes no key 'seeds'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_class(self, capsys):
         assert main(["generate", "mystery", "5", "--out", "/tmp/x.txt"]) == 3
@@ -289,11 +299,62 @@ class TestBench:
         # rejected before any job ran: no CSV was started
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, why", [
+        ({"class": "base", "sizes": [4], "exponent": 2}, "exponent applies to class random"),
+        ({"class": "partition", "weights": [2, 3], "exponent": 2},
+         "exponent applies to class random"),
+        ({"class": "random", "q": 6, "seed": 5}, "takes no key 'seed'"),
+        ({"class": "random", "q": 6, "repetitions": 2.7}, "repetitions: expected integers"),
+        ({"class": "partition", "weights": [2.9, 3]}, "weights: expected integers"),
+        ({"class": "random", "q": 6, "seeds": [True]}, "seeds: expected integers"),
+        ({"class": "partition", "weights": [2, 3], "seeds": [1]}, "takes no key 'seeds'"),
+        ({"class": "base", "q": 4, "sizes": [5]}, "give sizes or q, not both"),
+        ({"class": "base", "sizes": [4], "modes": "nary"}, "modes must be a list"),
+    ], ids=["base-exponent", "partition-exponent", "seed", "fractional-repetitions",
+            "fractional-weight", "bool-seed", "partition-seeds", "q-and-sizes", "modes-string"])
+    def test_entry_rejected_before_any_job(self, tmp_path, capsys, entry, why):
+        # these keys were once dropped or rounded, and the suite ran anyway
+        suite = tmp_path / "bad.json"
+        suite.write_text(json.dumps({"entries": [{"class": "base", "sizes": [4]}, entry]}))
+        out = tmp_path / "x.csv"
+        assert main(["bench", str(suite), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad suite spec:") and why in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, out):
+        args = ["bench", _base_suite(tmp_path, [4]), "--out", str(tmp_path / out)]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_empty_suite(self, tmp_path, capsys):
         suite = tmp_path / "empty.json"
         suite.write_text(json.dumps({"entries": []}))
         assert main(["bench", str(suite), "--out", str(tmp_path / "x.csv")]) == 3
         assert "no jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, entry, label, direct", [
+    (["base", "6"], {"class": "base", "q": 6}, "b6", lambda: generate_base(6)),
+    (["random", "8", "--seed", "5", "--exponent", "1.5"],
+     {"class": "random", "q": 8, "seeds": [5], "exponent": 1.5}, "r8-s5",
+     lambda: generate_random(8, seed=5, exponent=1.5)),
+    (["partition", "2 3 5 4"], {"class": "partition", "weights": [2, 3, 5, 4]}, "p2+3+5+4",
+     lambda: partition_reduction([2, 3, 5, 4])),
+], ids=list(INSTANCE_CLASSES))
+def test_generate_and_suite_agree(tmp_path, capsys, argv, entry, label, direct):
+    path = tmp_path / "inst.txt"
+    assert main(["generate", *argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {label}:")
+    assert read_instance(path) == direct()
+    assert latalloc.cli.entry_instances(entry) == [(label, direct())]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"entries": [entry]}))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(suite), "--out", str(out)]) == 0
+    row = _csv_rows(out.read_text())[1]
+    assert row[:3] == [label, entry["class"], str(direct().q)]
 
 
 class _InlinePool:
@@ -379,6 +440,24 @@ class TestInvariant:
         rows = _csv_rows(out.read_text())
         assert rows[0] == CSV_COLUMNS
         assert [r[0] for r in rows[1:]] == ["b4", "average"]
+
+
+def test_real_pool_matches_serial_run(tmp_path):
+    # the README's suite, run by a process pool and in-process; only times may differ
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    suite = tmp_path / "suite.json"
+    suite.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    csvs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"w{workers}.csv"
+        proc = run_isolated(["-m", "latalloc.cli", "bench", str(suite), "--out", str(out),
+                             "--workers", workers])
+        assert proc.returncode == 0, proc.stderr
+        rows = _csv_rows(out.read_text())
+        wall = rows[0].index("wall_ms")
+        csvs.append([r[:wall] + r[wall + 1:] for r in rows])
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0]) > 10
 
 
 def test_module_entry_point(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from latalloc import (
     ConstantLatency,
-    GeneratorSpec,
     Instance,
     InstanceFormatError,
     PowerLatency,
@@ -141,24 +140,6 @@ class TestPartition:
             partition_reduction(())
         with pytest.raises(ValueError):
             partition_reduction((2, 0, 1))
-
-
-class TestGeneratorSpec:
-    def test_labels(self):
-        assert GeneratorSpec("base", q=200).label() == "b200"
-        assert GeneratorSpec("random", q=50, seed=7).label() == "r50-s7"
-        assert GeneratorSpec("partition", weights=(2, 3, 5, 4)).label() == "p2+3+5+4"
-
-    def test_build_matches_direct_calls(self):
-        assert GeneratorSpec("base", q=4).build().q == generate_base(4).q
-        a = GeneratorSpec("random", q=9, seed=11).build()
-        b = generate_random(9, seed=11)
-        assert [(g.fixed_cost, g.latency.b) for g in a.groups] == \
-            [(g.fixed_cost, g.latency.b) for g in b.groups]
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec("mystery", q=3).build()
 
 
 class TestFileFormat:

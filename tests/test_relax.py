@@ -152,6 +152,18 @@ class TestContinuousRelaxationBound:
         with pytest.raises(ValueError, match="out of range"):
             continuous_relaxation_bound(ladder3, fixed_on=[2**70])
 
+    @pytest.mark.parametrize("container", [list, tuple, set, frozenset, np.array])
+    def test_copy_mask_matches_loop(self, container):
+        inst = make_instance([(3, 1, 4), (2, 2, 3)])
+        for indices in ([], [6, 0, 3, 3], list(range(7))):
+            ref = np.zeros(inst.q, dtype=bool)
+            for i in indices:
+                ref[i] = True
+            assert (relax._copy_mask(inst, container(indices)) == ref).all()
+        for bad in ([-1], [0, 7], [2**70]):
+            with pytest.raises(ValueError, match="out of range"):
+                relax._copy_mask(inst, container(bad))
+
     def test_bounds_monotone_under_fixing(self):
         for inst, bound in itertools.product(random_corpus(15, 3, 9, 620), BOUNDS):
             root = bound(inst).bound
