@@ -184,13 +184,18 @@ def _seeds(entry):
     return list(range(1, _ints("repetitions", [entry.get("repetitions", 1)])[0] + 1))
 
 
+def _exponent_tag(p):
+    return "" if p == 1 else f"-p{p:g}"
+
+
 # One row per instance class: the keys its suite entry may carry besides
 # "class" and "modes" (generate's positional spec fills the first), and the
 # expansion of an entry into (label, Instance) pairs.
 INSTANCE_CLASSES = {
     "base": (("q", "sizes"), lambda e: [(f"b{q}", generate_base(q)) for q in _sizes(e)]),
     "random": (("q", "sizes", "seeds", "repetitions", "exponent"),
-               lambda e: [(f"r{q}-s{s}", generate_random(q, s, exponent=e.get("exponent", 1)))
+               lambda e: [(f"r{q}-s{s}{_exponent_tag(e.get('exponent', 1))}",
+                           generate_random(q, s, exponent=e.get("exponent", 1)))
                           for q in _sizes(e) for s in _seeds(e)]),
     "partition": (("weights",), lambda e: [("p" + "+".join(map(str, w)), partition_reduction(w))
                                            for w in [_ints("weights", e["weights"])]]),
@@ -296,15 +301,16 @@ def cmd_bench(args) -> int:
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
-        # summary rows mirror the per-(class, size, mode) averages
+        # summary rows average per (exponent, class, size, mode); reports keep job order
         groups = {}
-        for r in reports:
-            groups.setdefault((r.klass, r.q, r.mode), []).append(r)
-        for (klass, q, mode), rs in groups.items():
+        for (inst, *_), r in zip(jobs, reports):
+            tag = _exponent_tag(inst.shared_exponent)
+            groups.setdefault((tag, r.klass, r.q, r.mode), []).append(r)
+        for (tag, klass, q, mode), rs in groups.items():
             n = len(rs)
             opt_vals = [r.optimum for r in rs if r.optimum is not None]
             writer.writerow([
-                "average", klass, q, mode,
+                "average" + tag, klass, q, mode,
                 f"{sum(opt_vals) / len(opt_vals):.12g}" if opt_vals else "",
                 f"{sum(r.heuristic for r in rs) / n:.12g}",
                 f"{sum(r.root_bound for r in rs) / n:.12g}",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, Instance
+from .model import Allocation, Instance, ResourceGroup
 from .relax import _level
 
 
@@ -105,10 +105,7 @@ def solve_identical(fixed_cost: float, family, q: int):
     minimizer; ties resolve to the smaller k.  A constant family makes F
     nondecreasing, so it gets k = 1.  Returns (k, F(k)).
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    if fixed_cost < 0:
-        raise ValueError(f"fixed cost must be >= 0, got {fixed_cost}")
+    ResourceGroup(fixed_cost, family, q)  # raises ValueError on the inputs it rejects
 
     def F(k):
         return family.f(1.0 / k) + k * fixed_cost

@@ -12,8 +12,9 @@ exactly that constant on the simplex, so the kernels solve in shifted prices
 The demand D_m poured before the level reaches breakpoint kappa_m is
 nondecreasing in m, so the support is the prefix of classes with D_m < 1,
 ties included.  ``_level``, the one kernel for every exponent, finds the
-last class h of the support by bisecting over the class index
-(``_last_below``, one pass over the prefix per probe), then solves the last
+last class h of the support by bisecting over the class index, one pass
+over the prefix per probe (D_m sums powers of the offsets kappa_m - kappa_i,
+which no prefix sum carries from one m to the next), then solves the last
 interval by Newton in z, where lam = kappa_h + u z^P:
 
 * P is the largest exponent in the support.  With d_i = kappa_h - kappa_i,
@@ -42,29 +43,33 @@ costs.  It leaves a wide gap, so branch and bound prices its nodes by the
 tighter perspective bound (``_node_relaxation``, the one place that rule is
 written).  There a group is at most two classes, its copies already on and
 its free copies, laid out by ``_node_classes`` in an order sorted once per
-search, so a node costs O(n log n).  Copies already on are paid for and
-carry their true latency.  A free copy is priced by the convex envelope h of
-c 1[x>0] + b x^(p+1) on [0, 1].  With theta = max(1, (p b / c)^(1/(p+1)))
-and t = 1/theta, h is linear with slope s up to t and the true cost beyond:
-s = c theta (1+p)/p when theta > 1 (the tangent from the origin), s = c + b
-and t = 1 when theta = 1, s = t = 0 when c = 0.  Copies already on are
-classes with s = t = 0 and no fee.  Minimizing h(x) - lam x, a free copy
-carries 0 below lam = s and jumps at s onto its unshifted curve
-ginv(lam) = (lam / (b(1+p)))^(1/p), which is >= t there.
+search, so a node costs one pass per distinct exponent (below).  Copies
+already on are paid for and carry their true latency.  A free copy is
+priced by the convex envelope h of c 1[x>0] + b x^(p+1) on [0, 1].  With
+theta = max(1, (p b / c)^(1/(p+1))) and t = 1/theta, h is linear with slope
+s up to t and the true cost beyond: s = c theta (1+p)/p when theta > 1 (the
+tangent from the origin), s = c + b and t = 1 when theta = 1, s = t = 0
+when c = 0.  Copies already on are classes with s = t = 0 and no fee.
+Minimizing h(x) - lam x, a free copy carries 0 below lam = s and at s jumps
+onto its unshifted curve ginv(lam) = (lam / (b(1+p)))^(1/p) >= t.
 
 The classes are sorted by s, ties in group order, and scanned with
 cumulative tie semantics: when the level reaches s_k every earlier class in
 sort order has made its full jump, ties included, so the demand D(s_k+) is
 nondecreasing in k and the first class k with D(s_k+) >= 1 settles the
-level.  For linear classes D(s_k+) is s_k times a prefix sum, so one
-cumulative pass finds k; for other exponents ``_last_below`` bisects over
-the class index, as it does for ``_level``.  If the classes before k
-already pour 1 just below s_k, lam lies inside that interval, where they
-all sit on their curves: a closed form for linear classes, ``_level`` at
-zero prices otherwise.  Otherwise lam = s_k and class k carries the rest of
-the unit.  Loading only the last of several tied classes, or counting a tie
-as active only strictly above its slope, breaks that monotonicity and gives
-wrong optima on partition embeddings, where every class ties at s = W.
+level.  The w copies of a class on its curve carry s_k^(1/p) w / r, with
+r = (b(1+p))^(1/p), so D(s_k+) is the sum over the distinct exponents P of
+s_k^(1/P) times the prefix sum of w / r over the classes of exponent P: one
+prefix sum per exponent and one ``searchsorted`` find k for every input
+(w / r = w / (2b) for linear classes).  If the classes before k already
+pour 1 just below s_k, lam lies inside that interval, where they all sit on
+their curves.  Where they share one exponent P the level has a closed form,
+lam = z^P with z the unit over their prefix sum, each copy carrying z / r;
+mixed exponents call ``_level`` at zero prices.  Otherwise lam = s_k and
+class k carries the rest of the unit.  Loading only the last of several
+tied classes, or counting a tie as active only strictly above its slope,
+breaks that monotonicity and gives wrong optima on partition embeddings,
+where every class ties at s = W.
 
 The bound is the Lagrangean value L(lam) = lam + sum w min_x (h(x) - lam x)
 plus the fees of the copies already on, valid at any lam.  It is never below
@@ -99,24 +104,6 @@ def _stable_argsort(values):
     return np.argsort(values, kind="stable")
 
 
-def _last_below(demand, lo, hi):
-    """Last class index m in [lo, hi) with demand(m) < 1, and that demand, by bisection.
-
-    ``demand`` is nondecreasing in m and reads 0 at ``lo``, which is not
-    probed (it may be -1, before the first class); every m >= ``hi`` is taken
-    to fail.  One call of ``demand`` per probe.
-    """
-    below = 0.0
-    while hi - lo > 1:
-        m = (lo + hi) // 2
-        demand_m = demand(m)
-        if demand_m < 1.0:
-            lo, below = m, demand_m
-        else:
-            hi = m
-    return lo, below
-
-
 def _level(kap, b, p, w):
     """Level lam where sum w * ginv(lam - kap) reaches 1, and the support's per-copy loads.
 
@@ -135,10 +122,15 @@ def _level(kap, b, p, w):
     curve = b * (1.0 + p)
     scale = 1.0 / curve
     root = 1.0 / p
-    top = int(kap.searchsorted((kap + curve).min(), "right"))
-    h, poured = _last_below(
-        lambda m: float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum()),
-        int(kap.searchsorted(0.0, "right")) - 1, top)
+    h, poured = int(kap.searchsorted(0.0, "right")) - 1, 0.0
+    hi = int(kap.searchsorted((kap + curve).min(), "right"))
+    while hi - h > 1:
+        m = (h + hi) // 2
+        demand = float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum())
+        if demand < 1.0:
+            h, poured = m, demand
+        else:
+            hi = m
     n = h + 1
     d, s, r, w = kap[h] - kap[:n], scale[:n], root[:n], w[:n]
     tied = d == 0.0
@@ -253,53 +245,52 @@ def _envelope(c, b, p):
     return s, t
 
 
-def _perspective(s, c, b, p, g1, w):
+def _perspective(s, c, b, p, g1, r, w, exponents):
     """Level, per-copy loads of the support and Lagrangean bound over classes sorted by slope.
 
     Class j has envelope slope ``s[j]`` (ascending), fee ``c[j]`` (0 for copies
-    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)`` and weight
-    ``w[j] >= 1``.  The settling class k is the first whose jump makes the
-    cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam, x,
-    bound); the support is the first ``len(x)`` classes, and with a jump the
-    last of them is the settling class carrying the rest of the unit.
+    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)``, ``r[j] =
+    (b(1+p))**(1/p)`` and weight ``w[j] >= 1``; ``exponents`` lists every
+    distinct p, ascending.  The settling class k is the first whose jump makes
+    the cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam,
+    x, bound); the support is the first ``len(x)`` classes, and with a jump
+    the last of them is the settling class carrying the rest of the unit.
     """
     n = s.size
     if n == 0:
         raise ValueError("no available resource can carry the demand")
-    linear = p.max() == 1.0
+    shared = len(exponents) == 1
     with np.errstate(over="ignore", invalid="ignore"):
-        # products past the settling class may overflow; none of them is read
-        if linear:
-            # D(s_k+) = s_k * sum_{j <= k} w_j / (2 b_j) is nondecreasing in k,
-            # so one cumulative sum and one bisection find k.  The fills are
-            # counted in unit = 1; where the one read passes the float range,
-            # as w / (2b) does for b near 1e-308, they are counted again in
-            # units of 2**-128, a power-of-two scaling
-            for unit in (1.0, 2.0 ** -128):
-                fill = (w * (0.5 * unit) / b).cumsum()
-                k = int((s * fill).searchsorted(unit))
-                if fill[min(k, n - 1)] < math.inf:
-                    break
-        else:
-            # no class settles at slope 0, where every load is 0
-            r = 1.0 / p
-            k = _last_below(lambda m: float(w[:m + 1] @ (s[m] ** r[:m + 1] * g1[:m + 1])),
-                            int(s.searchsorted(0.0, "right")) - 1, n)[0] + 1
+        # products past the settling class may overflow; none is read.  The
+        # fills w / r are counted in unit = 1, and again in units of 2**-128
+        # where the one read passes the float range (w / r for b near 1e-308)
+        for unit in (1.0, 2.0 ** -128):
+            fill = w * unit / r
+            prefix = fill.cumsum()
+            if shared:
+                demand = s ** (1.0 / exponents[0]) * prefix
+            else:
+                exps = np.array(exponents)[:, None]
+                parts = np.where(p == exps, fill, 0.0).cumsum(axis=1)
+                demand = (s ** (1.0 / exps) * parts).sum(axis=0)
+            k = int(demand.searchsorted(unit))
+            if prefix[min(k, n - 1)] < math.inf:
+                break
         if k < n:
             # the loads of the classes before k at lam = s_k
-            x = s[k] * g1[:k] if linear else s[k] ** r[:k] * g1[:k]
+            x = s[k] ** (1.0 / p[:k]) * g1[:k]
             pour = float(w[:k] @ x)
     if k < n and pour < 1.0:
         lam, loads = float(s[k]), np.concatenate((x, [(1.0 - pour) / w[k]]))
     else:
         # the level lies below s_k, where the classes before k all sit on their curves
-        if linear:
-            lam = unit / float(fill[k - 1])
-            x = lam * g1[:k]
+        if shared or (p[:k] == p[0]).all():
+            z = unit / prefix[k - 1]
+            lam, x = float(z ** p[0]), z * g1[:k]
         else:
             lam, x = _level(np.zeros(k), b[:k], p[:k], w[:k])
         pour, loads = float(w[:k] @ x), x
-    curve = b[:k] * (x * x if linear else x ** (1.0 + p[:k]))
+    curve = b[:k] * (x ** (1.0 + exponents[0]) if shared else x ** (1.0 + p[:k]))
     return lam, loads, float(w[:k] @ (c[:k] + curve)) + lam * (1.0 - pour)
 
 
@@ -309,6 +300,7 @@ class NodeClasses(NamedTuple):
     order: np.ndarray   # flattened (on, free) slot of each class, in slope order
     table: np.ndarray   # ``_perspective`` arguments per class, one row each, in slope order
     t: np.ndarray       # per group: least load a free copy carries at its true cost
+    exponents: list     # the instance's distinct exponents, ascending
 
 
 def _node_classes(instance: Instance) -> NodeClasses:
@@ -325,9 +317,11 @@ def _node_classes(instance: Instance) -> NodeClasses:
     slope = np.concatenate((zeros, slope))
     order = np.argsort(slope, kind="stable")
     b, p = b[order % n], p[order % n]
+    curve = b * (1.0 + p)
     table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b, p,
-                      (b * (1.0 + p)) ** (-1.0 / p)))
-    return NodeClasses(order, table, t)
+                      curve ** (-1.0 / p), curve ** (1.0 / p)))
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    return NodeClasses(order, table, t, sorted(set(instance.group_p.tolist())))
 
 
 def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_counts):
@@ -344,7 +338,8 @@ def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_co
     free = instance.group_multiplicities - on - off_counts
     weights = np.concatenate((on, free))[classes.order]
     live = weights.nonzero()[0]
-    lam, x, value = _perspective(*classes.table[:, live], weights[live])
+    lam, x, value = _perspective(*classes.table[:, live], weights[live],
+                                  classes.exponents)
     loads = np.zeros(2 * on.size)
     loads[classes.order[live[:x.size]]] = x
     return lam, loads.reshape(2, on.size), value + float(instance.group_fixed_costs @ on)

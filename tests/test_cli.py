@@ -266,6 +266,23 @@ class TestBench:
         assert len(avg) == 4
         assert all(r[CSV_COLUMNS.index("optimal_flag")] == "1" for r in data)
 
+    def test_exponents_labelled_and_averaged_apart(self, tmp_path):
+        # two entries that differ only in the exponent: p = 1 keeps its plain
+        # label and average row, p = 2 gets its own
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"entries": [
+            {"class": "random", "q": 6, "seeds": [1]},
+            {"class": "random", "q": 6, "seeds": [1], "exponent": 2},
+        ]}))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(suite), "--out", str(out)]) == 0
+        rows = _csv_rows(out.read_text())[1:]
+        assert [r[0] for r in rows] == ["r6-s1", "r6-s1-p2", "average", "average-p2"]
+        optimum = CSV_COLUMNS.index("optimum")
+        for row, avg in zip(rows[:2], rows[2:]):
+            assert avg[1:4] == row[1:4] == ["random", "6", "nary"]
+            assert avg[optimum] == row[optimum]
+
     def test_partition_entry(self, tmp_path):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"entries": [
@@ -338,7 +355,7 @@ class TestBench:
 @pytest.mark.parametrize("argv, entry, label, direct", [
     (["base", "6"], {"class": "base", "q": 6}, "b6", lambda: generate_base(6)),
     (["random", "8", "--seed", "5", "--exponent", "1.5"],
-     {"class": "random", "q": 8, "seeds": [5], "exponent": 1.5}, "r8-s5",
+     {"class": "random", "q": 8, "seeds": [5], "exponent": 1.5}, "r8-s5-p1.5",
      lambda: generate_random(8, seed=5, exponent=1.5)),
     (["partition", "2 3 5 4"], {"class": "partition", "weights": [2, 3, 5, 4]}, "p2+3+5+4",
      lambda: partition_reduction([2, 3, 5, 4])),

@@ -156,6 +156,18 @@ class TestSolveIdentical:
         with pytest.raises(ValueError):
             solve_identical(1.0, PowerLatency(1.0, 1.0), 0)
 
+    @pytest.mark.parametrize("fixed_cost, family", [
+        (float("nan"), PowerLatency(1.0, 1.0)),
+        (float("inf"), PowerLatency(1.0, 1.0)),
+        (-1.0, PowerLatency(1.0, 1.0)),
+        (1.0, None),
+    ], ids=["nan-fee", "inf-fee", "negative-fee", "no-family"])
+    def test_invalid_group(self, fixed_cost, family):
+        # checked as ResourceGroup(fixed_cost, family, q) checks them; a NaN
+        # or infinite fee once returned (5, nan) and (1, inf)
+        with pytest.raises(ValueError):
+            solve_identical(fixed_cost, family, 5)
+
     def test_constant_family_takes_one_copy(self):
         # F(k) = 3 + 2k only grows with k
         assert solve_identical(2.0, ConstantLatency(3.0), 5) == (1, 5.0)

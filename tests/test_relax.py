@@ -384,8 +384,10 @@ def _one_class_per_copy(inst, fixed_on, fixed_off):
     slope[on] = 0.0
     sel = np.flatnonzero(keep)[np.argsort(slope[keep], kind="stable")]
     b, p = inst.copy_b[sel], inst.copy_p[sel]
+    curve = b * (1.0 + p)
     _, x_s, bound = relax._perspective(slope[sel], np.where(on, 0.0, inst.copy_fixed_cost)[sel],
-                                       b, p, (b * (1.0 + p)) ** (-1.0 / p), np.ones(sel.size))
+                                       b, p, curve ** (-1.0 / p), curve ** (1.0 / p),
+                                       np.ones(sel.size), sorted(set(p.tolist())))
     x = np.zeros(inst.q)
     x[sel[:x_s.size]] = x_s
     return x, bound + float(inst.copy_fixed_cost[on].sum())
@@ -479,3 +481,104 @@ class TestPerspectiveBound:
         res = continuous_relaxation_bound(inst)
         assert float(res.x.sum()) == pytest.approx(1.0, abs=1e-12)
         assert res.x.tolist() == pytest.approx([1e-4] * 10000, rel=1e-12)
+
+
+def _reference_settle(inst, on, off):
+    """Level and bound of the perspective node relaxation with D(s_k+) summed directly for every k.
+
+    The classes are laid out as the search lays them out: group g's on
+    copies (slope 0, no fee) in slot g, its free copies in slot n + g,
+    sorted stably by slope.  The level inside the last interval is found by
+    bisection on lam.
+    """
+    n = len(inst.groups)
+    slope, _ = relax._envelope(inst.group_fixed_costs, inst.group_b, inst.group_p)
+    s = np.concatenate((np.zeros(n), slope))
+    order = np.argsort(s, kind="stable")
+    w = np.concatenate((on, inst.group_multiplicities - on - off))[order]
+    live = order[w > 0]
+    s, w = s[live], w[w > 0].astype(float)
+    c = np.concatenate((np.zeros(n), inst.group_fixed_costs))[live]
+    b, p = inst.group_b[live % n], inst.group_p[live % n]
+    curve = b * (1.0 + p)
+
+    def carried(lam, k):
+        return (lam / curve[:k]) ** (1.0 / p[:k])
+
+    # the demands at the slopes may overflow; they are only compared with 1
+    with np.errstate(over="ignore"):
+        k = next((j for j in range(s.size) if w[:j + 1] @ carried(s[j], j + 1) >= 1.0), s.size)
+        jump = k < s.size and w[:k] @ carried(s[k], k) < 1.0
+    if jump:
+        lam = float(s[k])
+    else:
+        lo, hi = 0.0, float(curve[:k].min())
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if w[:k] @ carried(mid, k) < 1.0 else (lo, mid)
+        lam = hi
+    x = carried(lam, k)
+    value = w[:k] @ (c[:k] + b[:k] * x ** (1.0 + p[:k]))
+    return lam, value + lam * (1.0 - w[:k] @ x) + float(inst.group_fixed_costs @ on)
+
+
+def _check_settle(inst, on, off, oracle=True):
+    """The node relaxation against the settle written above and the projected-gradient oracle."""
+    lam, loads, bound = relax._node_relaxation(inst, relax._node_classes(inst), on, off)
+    ref_lam, ref_bound = _reference_settle(inst, on, off)
+    # no absolute slack: a level far below the normal floats must not read 0
+    assert lam == pytest.approx(ref_lam, rel=1e-9, abs=0.0)
+    assert bound == pytest.approx(ref_bound, rel=1e-9)
+    free = inst.group_multiplicities - on - off
+    assert float(on @ loads[0] + free @ loads[1]) == pytest.approx(1.0, abs=1e-12)
+    if oracle:
+        pos, group = inst.copy_pos, inst.copy_group
+        fixed_on = np.flatnonzero(pos < on[group])
+        fixed_off = np.flatnonzero(pos >= (inst.group_multiplicities - off)[group])
+        assert bound == pytest.approx(numeric_perspective(inst, fixed_on, fixed_off), abs=1e-6)
+
+
+class TestSettle:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+           exponent=st.sampled_from([1.5, 2.0, 3.0, None]), ties=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_nodes(self, seed, n, exponent, ties):
+        # ``exponent`` None draws each group's p from {1, 1.5, 2, 3}.  With
+        # ``ties``, fees in halves from 0 and b of 0.5 or 1 make equal slopes
+        # common: c + b is the slope of every group on its chord.  Otherwise
+        # small fees and steep latencies make each copy jump to a small t, so
+        # several classes, of several exponents, settle the level together.
+        # Zero fees tie at slope 0 with the copies already on
+        rng = np.random.Generator(np.random.PCG64(seed))
+        fees, coeffs = (([0.5 * i for i in range(9)], [0.5, 1.0]) if ties
+                        else ([0.0, 0.05, 0.1, 0.2, 0.5], [1.0, 2.0, 4.0, 8.0]))
+        groups = [ResourceGroup(float(rng.choice(fees)),
+                                PowerLatency(float(rng.choice(coeffs)),
+                                             exponent or float(rng.choice([1.0, 1.5, 2.0, 3.0]))),
+                                int(rng.integers(1, 5)))
+                  for _ in range(n)]
+        inst = Instance.from_groups(groups)
+        mult = inst.group_multiplicities
+        for trial in range(6):
+            on = rng.integers(0, mult + 1) if trial else np.zeros_like(mult)
+            off = np.minimum(rng.integers(0, mult + 1), mult - on) if trial else on
+            if not np.any(off < mult):
+                off[0] -= 1
+            _check_settle(inst, on, off, oracle=trial < 2)
+
+    @pytest.mark.parametrize("p", [1.0 + 1e-9, 2.0], ids=["shared", "mixed"])
+    def test_overflowing_fill_off_the_linear_path(self, p):
+        # 4 / r, the fill of four copies of b = 1e-308 and p = 1 + 1e-9, passes
+        # the float range, so the settle counts again in units of 2**-128; the
+        # four copies settle at their slope 1 and share the unit
+        tiny = PowerLatency(1e-308, 1.0 + 1e-9)
+        assert np.isinf(4.0 / (tiny.b * (1.0 + tiny.p)) ** (1.0 / tiny.p))
+        inst = Instance.from_groups([ResourceGroup(1.0, tiny, 4),
+                                     ResourceGroup(2.0, PowerLatency(1.0, p))])
+        # with all four copies on, their class at slope 0 fills 4 / r and would
+        # read 0 * inf; the level then sits far below the float range's normals
+        for on in ([0, 0], [2, 0], [4, 0], [4, 1], [0, 1]):
+            _check_settle(inst, np.array(on), np.array([0, 0]), oracle=False)
+        res = continuous_relaxation_bound(inst)
+        assert res.x.tolist() == pytest.approx([0.25] * 4 + [0.0], rel=1e-12)
+        assert res.bound == pytest.approx(1.0, rel=1e-12)
