@@ -14,11 +14,12 @@ the perspective relaxation (``relax._node_relaxation``), which sees each
 group as at most two classes: its copies switched on and its free copies.
 It prices a free copy by the convex envelope of its fee plus latency,
 linear with slope s up to a load t and the true cost beyond it.  Its sort
-by s costs O(n log n) once per search; a node then costs one pass over its
-classes per distinct exponent of the instance.  When every free copy of a
-node carries 0 or at least its t, its relaxation prices every copy at its
-true cost, so the node is solved: re-solving the restricted problem on the
-support tightens the incumbent and the node closes.
+by s costs O(n log n) once per search; a node over n classes then costs
+one pass per distinct exponent E of the instance, or, where E exceeds
+n.bit_length(), one pass per bisection probe: O(n min(E, log n)).  When
+every free copy of a node carries 0 or at least its t, its relaxation prices
+every copy at its true cost, so the node is solved: re-solving the
+restricted problem on the support tightens the incumbent and the node closes.
 """
 
 from __future__ import annotations

@@ -185,7 +185,8 @@ def _seeds(entry):
 
 
 def _exponent_tag(p):
-    return "" if p == 1 else f"-p{p:g}"
+    """Label suffix of exponent p: none for 1, else p's shortest exact repr (``-p2``, ``-p1.5000001``)."""
+    return "" if p == 1 else f"-p{float(p)!r}".removesuffix(".0")
 
 
 # One row per instance class: the keys its suite entry may carry besides
@@ -304,13 +305,12 @@ def cmd_bench(args) -> int:
         # summary rows average per (exponent, class, size, mode); reports keep job order
         groups = {}
         for (inst, *_), r in zip(jobs, reports):
-            tag = _exponent_tag(inst.shared_exponent)
-            groups.setdefault((tag, r.klass, r.q, r.mode), []).append(r)
-        for (tag, klass, q, mode), rs in groups.items():
+            groups.setdefault((inst.shared_exponent, r.klass, r.q, r.mode), []).append(r)
+        for (p, klass, q, mode), rs in groups.items():
             n = len(rs)
             opt_vals = [r.optimum for r in rs if r.optimum is not None]
             writer.writerow([
-                "average" + tag, klass, q, mode,
+                "average" + _exponent_tag(p), klass, q, mode,
                 f"{sum(opt_vals) / len(opt_vals):.12g}" if opt_vals else "",
                 f"{sum(r.heuristic for r in rs) / n:.12g}",
                 f"{sum(r.root_bound for r in rs) / n:.12g}",

@@ -12,10 +12,10 @@ exactly that constant on the simplex, so the kernels solve in shifted prices
 The demand D_m poured before the level reaches breakpoint kappa_m is
 nondecreasing in m, so the support is the prefix of classes with D_m < 1,
 ties included.  ``_level``, the one kernel for every exponent, finds the
-last class h of the support by bisecting over the class index, one pass
-over the prefix per probe (D_m sums powers of the offsets kappa_m - kappa_i,
-which no prefix sum carries from one m to the next), then solves the last
-interval by Newton in z, where lam = kappa_h + u z^P:
+last class h of the support by bisection (``_last_below``, one pass per
+probe: D_m sums powers of the offsets kappa_m - kappa_i, which no prefix sum
+carries from one m to the next), then solves the last interval by Newton in
+z, where lam = kappa_h + u z^P:
 
 * P is the largest exponent in the support.  With d_i = kappa_h - kappa_i,
   class i carries ((d_i + u z^P) / (b_i(1+p_i)))^(1/p_i) per copy, a power
@@ -43,7 +43,7 @@ costs.  It leaves a wide gap, so branch and bound prices its nodes by the
 tighter perspective bound (``_node_relaxation``, the one place that rule is
 written).  There a group is at most two classes, its copies already on and
 its free copies, laid out by ``_node_classes`` in an order sorted once per
-search, so a node costs one pass per distinct exponent (below).  Copies
+search, so a node costs O(n log n) at most (below).  Copies
 already on are paid for and carry their true latency.  A free copy is
 priced by the convex envelope h of c 1[x>0] + b x^(p+1) on [0, 1].  With
 theta = max(1, (p b / c)^(1/(p+1))) and t = 1/theta, h is linear with slope
@@ -58,15 +58,16 @@ cumulative tie semantics: when the level reaches s_k every earlier class in
 sort order has made its full jump, ties included, so the demand D(s_k+) is
 nondecreasing in k and the first class k with D(s_k+) >= 1 settles the
 level.  The w copies of a class on its curve carry s_k^(1/p) w / r, with
-r = (b(1+p))^(1/p), so D(s_k+) is the sum over the distinct exponents P of
-s_k^(1/P) times the prefix sum of w / r over the classes of exponent P: one
-prefix sum per exponent and one ``searchsorted`` find k for every input
-(w / r = w / (2b) for linear classes).  If the classes before k already
-pour 1 just below s_k, lam lies inside that interval, where they all sit on
-their curves.  Where they share one exponent P the level has a closed form,
-lam = z^P with z the unit over their prefix sum, each copy carrying z / r;
-mixed exponents call ``_level`` at zero prices.  Otherwise lam = s_k and
-class k carries the rest of the unit.  Loading only the last of several
+r = (b(1+p))^(1/p) (2b if linear), so D(s_k+) is the sum over the E distinct
+exponents P of s_k^(1/P) times the prefix sum of w / r over the classes of
+exponent P: E passes give it at every k and one ``searchsorted`` finds k.
+Where E exceeds the n.bit_length() probes of a bisection over k,
+``_last_below`` probes D(s_m+) instead, one pass each, so a node costs
+O(n min(E, log n)).  If the classes before k already pour 1 just below s_k,
+lam lies inside that interval, on their curves: with one exponent P, lam =
+z^P with z the unit over their prefix sum and loads z / r; with several,
+``_level`` at zero prices.  Otherwise lam = s_k and class k carries the
+rest of the unit.  Loading only the last of several
 tied classes, or counting a tie as active only strictly above its slope,
 breaks that monotonicity and gives wrong optima on partition embeddings,
 where every class ties at s = W.
@@ -104,6 +105,24 @@ def _stable_argsort(values):
     return np.argsort(values, kind="stable")
 
 
+def _last_below(demand, lo, hi):
+    """Last class index m in [lo, hi) with demand(m) < 1, and that demand, by bisection.
+
+    ``demand`` is nondecreasing in m and reads 0 at ``lo``, which is not
+    probed (it may be -1, before the first class); every m >= ``hi`` is taken
+    to fail.  One call of ``demand`` per probe.
+    """
+    below = 0.0
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        demand_m = demand(m)
+        if demand_m < 1.0:
+            lo, below = m, demand_m
+        else:
+            hi = m
+    return lo, below
+
+
 def _level(kap, b, p, w):
     """Level lam where sum w * ginv(lam - kap) reaches 1, and the support's per-copy loads.
 
@@ -122,15 +141,10 @@ def _level(kap, b, p, w):
     curve = b * (1.0 + p)
     scale = 1.0 / curve
     root = 1.0 / p
-    h, poured = int(kap.searchsorted(0.0, "right")) - 1, 0.0
-    hi = int(kap.searchsorted((kap + curve).min(), "right"))
-    while hi - h > 1:
-        m = (h + hi) // 2
-        demand = float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum())
-        if demand < 1.0:
-            h, poured = m, demand
-        else:
-            hi = m
+    top = int(kap.searchsorted((kap + curve).min(), "right"))
+    h, poured = _last_below(
+        lambda m: float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum()),
+        int(kap.searchsorted(0.0, "right")) - 1, top)
     n = h + 1
     d, s, r, w = kap[h] - kap[:n], scale[:n], root[:n], w[:n]
     tied = d == 0.0
@@ -268,12 +282,18 @@ def _perspective(s, c, b, p, g1, r, w, exponents):
             fill = w * unit / r
             prefix = fill.cumsum()
             if shared:
-                demand = s ** (1.0 / exponents[0]) * prefix
-            else:
+                # one exponent: the general pass below with E = 1, which on
+                # ladder and partition nodes costs 1.5x this scalar form
+                k = int((s ** (1.0 / exponents[0]) * prefix).searchsorted(unit))
+            elif len(exponents) <= n.bit_length():
                 exps = np.array(exponents)[:, None]
                 parts = np.where(p == exps, fill, 0.0).cumsum(axis=1)
-                demand = (s ** (1.0 / exps) * parts).sum(axis=0)
-            k = int(demand.searchsorted(unit))
+                k = int((s ** (1.0 / exps) * parts).sum(axis=0).searchsorted(unit))
+            else:
+                # a bisection over k takes fewer passes than there are
+                # exponents; no class settles at slope 0, where it pours 0
+                k = _last_below(lambda m: s[m] ** (1.0 / p[:m + 1]) @ fill[:m + 1] / unit,
+                                int(s.searchsorted(0.0, "right")) - 1, n)[0] + 1
             if prefix[min(k, n - 1)] < math.inf:
                 break
         if k < n:

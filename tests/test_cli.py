@@ -267,19 +267,20 @@ class TestBench:
         assert all(r[CSV_COLUMNS.index("optimal_flag")] == "1" for r in data)
 
     def test_exponents_labelled_and_averaged_apart(self, tmp_path):
-        # two entries that differ only in the exponent: p = 1 keeps its plain
-        # label and average row, p = 2 gets its own
+        # entries that differ only in the exponent: p = 1 keeps its plain
+        # label and average row, every other p gets its own, written in full
+        # so that 1.5 and 1.5000001 neither share a label nor an average
+        exponents = [1, 2, 1.5, 1.5000001]
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"entries": [
-            {"class": "random", "q": 6, "seeds": [1]},
-            {"class": "random", "q": 6, "seeds": [1], "exponent": 2},
-        ]}))
+            {"class": "random", "q": 6, "seeds": [1], "exponent": p} for p in exponents]}))
         out = tmp_path / "bench.csv"
         assert main(["bench", str(suite), "--out", str(out)]) == 0
         rows = _csv_rows(out.read_text())[1:]
-        assert [r[0] for r in rows] == ["r6-s1", "r6-s1-p2", "average", "average-p2"]
+        tags = ["", "-p2", "-p1.5", "-p1.5000001"]
+        assert [r[0] for r in rows] == ["r6-s1" + t for t in tags] + ["average" + t for t in tags]
         optimum = CSV_COLUMNS.index("optimum")
-        for row, avg in zip(rows[:2], rows[2:]):
+        for row, avg in zip(rows[:4], rows[4:]):
             assert avg[1:4] == row[1:4] == ["random", "6", "nary"]
             assert avg[optimum] == row[optimum]
 

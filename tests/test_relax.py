@@ -523,12 +523,20 @@ def _reference_settle(inst, on, off):
 
 
 def _check_settle(inst, on, off, oracle=True):
-    """The node relaxation against the settle written above and the projected-gradient oracle."""
-    lam, loads, bound = relax._node_relaxation(inst, relax._node_classes(inst), on, off)
+    """The node relaxation against the settle written above and the projected-gradient oracle.
+
+    Padding the exponent list with unused exponents past the number of
+    bisection probes makes the same node settle by bisection; it must agree.
+    """
+    classes = relax._node_classes(inst)
+    lam, loads, bound = relax._node_relaxation(inst, classes, on, off)
     ref_lam, ref_bound = _reference_settle(inst, on, off)
     # no absolute slack: a level far below the normal floats must not read 0
     assert lam == pytest.approx(ref_lam, rel=1e-9, abs=0.0)
     assert bound == pytest.approx(ref_bound, rel=1e-9)
+    padded = classes._replace(exponents=classes.exponents + [1e6 - i for i in range(16)])
+    probed_lam, _, probed = relax._node_relaxation(inst, padded, on, off)
+    assert (probed_lam, probed) == pytest.approx((lam, bound), rel=1e-12, abs=0.0)
     free = inst.group_multiplicities - on - off
     assert float(on @ loads[0] + free @ loads[1]) == pytest.approx(1.0, abs=1e-12)
     if oracle:
@@ -565,6 +573,26 @@ class TestSettle:
             if not np.any(off < mult):
                 off[0] -= 1
             _check_settle(inst, on, off, oracle=trial < 2)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_many_exponents(self, seed, n):
+        # one exponent per group, drawn from [1, 3]: nodes with more exponents
+        # than n.bit_length() over their n live classes settle by bisection,
+        # the others by one prefix sum per exponent
+        rng = np.random.Generator(np.random.PCG64(seed))
+        inst = Instance.from_groups([
+            ResourceGroup(float(rng.choice([0.0, 0.05, 0.5, 2.0])),
+                          PowerLatency(float(rng.choice([1.0, 4.0])), float(rng.uniform(1.0, 3.0))),
+                          int(rng.integers(1, 4)))
+            for _ in range(n)])
+        mult = inst.group_multiplicities
+        for trial in range(4):
+            on = rng.integers(0, mult + 1) if trial else np.zeros_like(mult)
+            off = np.minimum(rng.integers(0, mult + 1), mult - on) if trial else on
+            if not np.any(off < mult):
+                off[0] -= 1
+            _check_settle(inst, on, off, oracle=trial < 1)
 
     @pytest.mark.parametrize("p", [1.0 + 1e-9, 2.0], ids=["shared", "mixed"])
     def test_overflowing_fill_off_the_linear_path(self, p):
