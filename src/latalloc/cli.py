@@ -209,6 +209,8 @@ def entry_instances(entry) -> list:
     if klass not in INSTANCE_CLASSES:
         raise ValueError(f"unknown instance class {klass!r}")
     keys, expand = INSTANCE_CLASSES[klass]
+    if type(entry.get("exponent", 1)) not in (int, float):
+        raise ValueError(f"exponent: expected a number, got {entry['exponent']!r}")
     if entry.get("exponent", 1) != 1 and "exponent" not in keys:
         raise ValueError(f"exponent applies to class random only; {klass} instances are "
                          f"linear, got exponent {entry['exponent']}")

@@ -21,31 +21,20 @@ from .model import Allocation, Instance
 from .relax import ordering_algorithm
 
 
-def _candidates(keys, counts, mult, step):
-    """Groups to move by ``step`` copies (-1 remove, +1 add), strongest first.
-
-    Each key proposes one group: the largest key among groups with a copy on
-    (removal) or the smallest among groups with a copy off (addition).
-    """
-    movable = counts > 0 if step < 0 else counts < mult
-    out = []
-    for key in keys:
-        # removal ranks by -key, so the strongest proposal is always the minimum
-        masked = np.where(movable, step * key, np.inf)
-        g = int(np.argmin(masked))
-        if np.isfinite(masked[g]) and g not in [gg for _, gg in out]:
-            out.append((masked[g], g))
-    out.sort(key=lambda t: t[0])
-    return [g for _, g in out]
-
-
 def _walk(instance, keys, start, accepted_values=None):
     """Greedy single-copy local search from ``start`` = (counts, value, x_groups).
 
     A round tries at most one removal (never emptying the active set), then
     at most one addition; a move is taken on strict improvement only, so the
-    walk terminates.  Returns the endpoint as (counts, value, x_groups).
+    walk terminates.  Each key proposes one group to move: the largest key
+    among groups with a copy on (removal) or the smallest among groups with
+    a copy off (addition).  The first key to propose a group keeps its
+    value, and the proposals are tried by value, ties in key order.
+    Returns the endpoint as (counts, value, x_groups).
     """
+    mult = instance.group_multiplicities
+    # removal ranks by -key, so the strongest proposal is always the minimum
+    signed = {step: step * np.stack(keys) for step in (-1, +1)}
     counts, value, x_groups = start
     improved = True
     while improved:
@@ -53,7 +42,13 @@ def _walk(instance, keys, start, accepted_values=None):
         for step in (-1, +1):
             if step < 0 and counts.sum() <= 1:
                 continue
-            for g in _candidates(keys, counts, instance.group_multiplicities, step):
+            masked = np.where(counts > 0 if step < 0 else counts < mult, signed[step], np.inf)
+            proposed = masked.argmin(axis=1)
+            ranked = {}
+            for rank, g in zip(masked.min(axis=1).tolist(), proposed.tolist()):
+                if rank < np.inf:
+                    ranked.setdefault(g, rank)
+            for g in sorted(ranked, key=ranked.get):
                 trial = counts.copy()
                 trial[g] += step
                 _, xg, v = _counts_solve(instance, trial)

@@ -2,11 +2,14 @@
 
 Once the set of activated copies is chosen, splitting the unit of demand is a
 convex program whose stationarity conditions equalize the load-cost marginals
-across used copies at a common level lam.  For a shared power exponent the
-level has a closed form.  Mixed exponents solve for it with the level kernel
-of the priced relaxation: every active group is one class priced at 0 whose
-weight is its count, so the support search is empty and the kernel's Newton
-iteration in fill units finds the level.
+across used copies at a common level lam.  For a shared power exponent P the
+level has a closed form, by the rule of the perspective interior (``relax``):
+fills k g1, g1 = (b(1+P))^(-1/P), summed in unit 1 or, where that overflows,
+in units of 2^-128; loads scaled fill over scaled sum, lam = (unit / sum)^P.
+Mixed exponents solve for it with the level kernel of the priced relaxation:
+every active group is one class priced at 0 whose weight is its count, so the
+support search is empty and the kernel's Newton iteration in fill units
+finds the level.
 """
 
 from __future__ import annotations
@@ -46,17 +49,16 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
 
     if (p == p[0]).all():
         pe = float(p[0])
-        w = (b * (1.0 + pe)) ** (-1.0 / pe)
-        # k @ w can pass the float range when b is tiny; sum w in units of a
-        # power of two just below its largest entry (1 unless that entry is 2
-        # or more), so every product scales exactly
-        unit = 2.0 ** max(0, math.frexp(float(w.max()))[1] - 1)
-        w /= unit
-        # x = w / (k @ w) directly: the level (k @ w)**-p can leave the float
-        # range where the loads do not
-        total = float(k @ w)
-        x_act = w / total
-        lam = total ** -pe * unit ** -pe
+        g1 = (b * (1.0 + pe)) ** (-1.0 / pe)
+        # vdot, unlike @, does not warn where the sum overflows; the loads are
+        # formed apart from lam, which can leave the float range where they do not
+        for unit in (1.0, 2.0 ** -128):
+            fill = g1 * unit
+            total = float(np.vdot(k, fill))
+            if total < math.inf:
+                break
+        x_act = fill / total
+        lam = (unit / total) ** pe
     else:
         # every active copy of group g carries the same load, so group g is one
         # class of weight k_g

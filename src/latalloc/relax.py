@@ -57,20 +57,21 @@ The classes are sorted by s, ties in group order, and scanned with
 cumulative tie semantics: when the level reaches s_k every earlier class in
 sort order has made its full jump, ties included, so the demand D(s_k+) is
 nondecreasing in k and the first class k with D(s_k+) >= 1 settles the
-level.  The w copies of a class on its curve carry s_k^(1/p) w / r, with
-r = (b(1+p))^(1/p) (2b if linear), so D(s_k+) is the sum over the E distinct
-exponents P of s_k^(1/P) times the prefix sum of w / r over the classes of
-exponent P: E passes give it at every k and one ``searchsorted`` finds k.
-Where E exceeds the n.bit_length() probes of a bisection over k,
-``_last_below`` probes D(s_m+) instead, one pass each, so a node costs
-O(n min(E, log n)).  If the classes before k already pour 1 just below s_k,
-lam lies inside that interval, on their curves: with one exponent P, lam =
-z^P with z the unit over their prefix sum and loads z / r; with several,
-``_level`` at zero prices.  Otherwise lam = s_k and class k carries the
-rest of the unit.  Loading only the last of several
-tied classes, or counting a tie as active only strictly above its slope,
-breaks that monotonicity and gives wrong optima on partition embeddings,
-where every class ties at s = W.
+level.  The w copies of a class on its curve carry s_k^(1/p) w g1, with
+g1 = (b(1+p))^(-1/p) the load of one copy at level 1, so D(s_k+) is the sum
+over the E distinct exponents P of s_k^(1/P) times the prefix sum of the
+fills w g1 of exponent P: E passes give it at every k and one
+``searchsorted`` finds k.  Where E exceeds the n.bit_length() probes of a
+bisection over k, ``_last_below`` probes D(s_m+) instead, one pass each, so
+a node costs O(n min(E, log n)).  The fills are counted in unit 1, and again
+in units of 2^-128 only where their sum overflows.  If the classes before k
+already pour 1 just below s_k, lam lies inside that interval, on their
+curves: with one exponent P, each load is unit g1 over their prefix sum and
+lam = (unit / sum)^P, the split of ``kkt``; with several, ``_level`` at zero
+prices.  Otherwise lam = s_k and class k carries the rest of the unit.
+Loading only the last of several tied classes, or counting a tie as active
+only strictly above its slope, breaks that monotonicity and gives wrong
+optima on partition embeddings, where every class ties at s = W.
 
 The bound is the Lagrangean value L(lam) = lam + sum w min_x (h(x) - lam x)
 plus the fees of the copies already on, valid at any lam.  It is never below
@@ -259,12 +260,12 @@ def _envelope(c, b, p):
     return s, t
 
 
-def _perspective(s, c, b, p, g1, r, w, exponents):
+def _perspective(s, c, b, p, g1, w, exponents):
     """Level, per-copy loads of the support and Lagrangean bound over classes sorted by slope.
 
     Class j has envelope slope ``s[j]`` (ascending), fee ``c[j]`` (0 for copies
-    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)``, ``r[j] =
-    (b(1+p))**(1/p)`` and weight ``w[j] >= 1``; ``exponents`` lists every
+    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)`` (the load of
+    one copy at level 1) and weight ``w[j] >= 1``; ``exponents`` lists every
     distinct p, ascending.  The settling class k is the first whose jump makes
     the cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam,
     x, bound); the support is the first ``len(x)`` classes, and with a jump
@@ -276,10 +277,10 @@ def _perspective(s, c, b, p, g1, r, w, exponents):
     shared = len(exponents) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         # products past the settling class may overflow; none is read.  The
-        # fills w / r are counted in unit = 1, and again in units of 2**-128
-        # where the one read passes the float range (w / r for b near 1e-308)
+        # fills w g1 are counted in unit = 1, and again in units of 2**-128
+        # where the one read passes the float range (w g1 for b near 1e-308)
         for unit in (1.0, 2.0 ** -128):
-            fill = w * unit / r
+            fill = w * unit * g1
             prefix = fill.cumsum()
             if shared:
                 # one exponent: the general pass below with E = 1, which on
@@ -305,8 +306,8 @@ def _perspective(s, c, b, p, g1, r, w, exponents):
     else:
         # the level lies below s_k, where the classes before k all sit on their curves
         if shared or (p[:k] == p[0]).all():
-            z = unit / prefix[k - 1]
-            lam, x = float(z ** p[0]), z * g1[:k]
+            total = prefix[k - 1]
+            lam, x = float((unit / total) ** p[0]), unit * g1[:k] / total
         else:
             lam, x = _level(np.zeros(k), b[:k], p[:k], w[:k])
         pour, loads = float(w[:k] @ x), x
@@ -337,9 +338,8 @@ def _node_classes(instance: Instance) -> NodeClasses:
     slope = np.concatenate((zeros, slope))
     order = np.argsort(slope, kind="stable")
     b, p = b[order % n], p[order % n]
-    curve = b * (1.0 + p)
     table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b, p,
-                      curve ** (-1.0 / p), curve ** (1.0 / p)))
+                      (b * (1.0 + p)) ** (-1.0 / p)))
     # sorted(set()) rather than np.unique, which imports numpy.ma
     return NodeClasses(order, table, t, sorted(set(instance.group_p.tolist())))
 

@@ -328,8 +328,12 @@ class TestBench:
         ({"class": "partition", "weights": [2, 3], "seeds": [1]}, "takes no key 'seeds'"),
         ({"class": "base", "q": 4, "sizes": [5]}, "give sizes or q, not both"),
         ({"class": "base", "sizes": [4], "modes": "nary"}, "modes must be a list"),
+        ({"class": "random", "q": 6, "exponent": "2"}, "exponent: expected a number"),
+        ({"class": "random", "q": 6, "exponent": True}, "exponent: expected a number"),
+        ({"class": "base", "sizes": [4], "exponent": True}, "exponent: expected a number"),
     ], ids=["base-exponent", "partition-exponent", "seed", "fractional-repetitions",
-            "fractional-weight", "bool-seed", "partition-seeds", "q-and-sizes", "modes-string"])
+            "fractional-weight", "bool-seed", "partition-seeds", "q-and-sizes", "modes-string",
+            "string-exponent", "bool-exponent", "base-bool-exponent"])
     def test_entry_rejected_before_any_job(self, tmp_path, capsys, entry, why):
         # these keys were once dropped or rounded, and the suite ran anyway
         suite = tmp_path / "bad.json"

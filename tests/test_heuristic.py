@@ -1,10 +1,11 @@
 """Primal heuristic: the three seeded walks and their improvement traces."""
 
+import numpy as np
 import pytest
 
 from latalloc import generate_random, primal_heuristic, solve
-from latalloc import ConstantLatency, Instance, ResourceGroup
-from latalloc import continuous_relaxation_bound
+from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
+from latalloc import continuous_relaxation_bound, heuristic
 from latalloc.heuristic import _dual_seed, _standalone_prefix_seed, _walk
 from latalloc.kkt import _counts_solve
 
@@ -22,13 +23,22 @@ def _plain_walk(inst, accepted_values=None):
     return _walk(inst, (inst.group_fixed_costs,), _relaxation_start(inst), accepted_values)
 
 
+def _power_keys(inst):
+    c, b, p = inst.group_fixed_costs, inst.group_b, inst.group_p
+    return c + b, c + b ** (1.0 / (p + 1.0)), c
+
+
+def _walks(inst):
+    """(keys, start) of the plain, power-from-relaxation and power-from-prefix walks."""
+    c, b = inst.group_fixed_costs, inst.group_b
+    return [((c,), _relaxation_start(inst)),
+            (_power_keys(inst), _relaxation_start(inst)),
+            (_power_keys(inst), _standalone_prefix_seed(inst, c + b))]
+
+
 def _walk_values(inst):
     """Endpoint values of the plain, power-from-relaxation and power-from-prefix walks."""
-    c, b, p = inst.group_fixed_costs, inst.group_b, inst.group_p
-    power_keys = (c + b, c + b ** (1.0 / (p + 1.0)), c)
-    return [_plain_walk(inst)[1],
-            _walk(inst, power_keys, _relaxation_start(inst))[1],
-            _walk(inst, power_keys, _standalone_prefix_seed(inst, c + b))[1]]
+    return [_walk(inst, keys, start)[1] for keys, start in _walks(inst)]
 
 
 def test_frozen_walk_trace(ladder3):
@@ -115,3 +125,85 @@ def test_constant_family_rejected():
     inst = Instance.from_groups([ResourceGroup(1.0, ConstantLatency(2.0))])
     with pytest.raises(ValueError):
         primal_heuristic(inst)
+
+
+def _reference_trials(inst, keys, start):
+    """Trial counts, in order, of a walk whose moves are ranked key by key.
+
+    Each key proposes one group: the largest key among groups with a copy on
+    (removal), the smallest among groups with a copy off (addition).  The
+    first key to propose a group keeps its value, then a stable sort by
+    value puts ties in key order.
+    """
+    mult = inst.group_multiplicities
+    counts, value, _ = start
+    trials = []
+    improved = True
+    while improved:
+        improved = False
+        for step in (-1, +1):
+            if step < 0 and counts.sum() <= 1:
+                continue
+            movable = counts > 0 if step < 0 else counts < mult
+            proposals = []
+            for key in keys:
+                masked = np.where(movable, step * key, np.inf)
+                g = int(np.argmin(masked))
+                if np.isfinite(masked[g]) and g not in [gg for _, gg in proposals]:
+                    proposals.append((masked[g], g))
+            proposals.sort(key=lambda t: t[0])
+            for _, g in proposals:
+                trial = counts.copy()
+                trial[g] += step
+                trials.append(trial.tolist())
+                v = _counts_solve(inst, trial)[2]
+                if v < value:
+                    counts, value, improved = trial, v, True
+                    break
+    return trials
+
+
+def _walk_trials(inst, keys, start):
+    """Trial counts, in order, that ``_walk`` hands to the restricted solve."""
+    trials = []
+
+    def recording(instance, counts):
+        trials.append(counts.tolist())
+        return _counts_solve(instance, counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heuristic, "_counts_solve", recording)
+        _walk(inst, keys, start)
+    return trials
+
+
+def _multiplicity_instances(n, seed):
+    """Random instances of 2-6 groups with multiplicities 1-5; p shared or per group in {1, 1.5, 2}."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(n):
+        size = int(rng.integers(2, 7))
+        exps = rng.choice([1.0, 1.5, 2.0], size=1 if rng.random() < 0.5 else size)
+        yield Instance.from_groups([
+            ResourceGroup(float(rng.uniform(1, 100)),
+                          PowerLatency(float(rng.uniform(1, 100)), float(exps[g % exps.size])),
+                          int(rng.integers(1, 6)))
+            for g in range(size)])
+
+
+def test_walk_tries_moves_in_reference_order():
+    for inst in _multiplicity_instances(200, 9100):
+        for keys, start in _walks(inst):
+            assert _walk_trials(inst, keys, start) == _reference_trials(inst, keys, start)
+
+
+def test_first_proposing_key_sets_the_rank():
+    # adding from (1, 0): c + b proposes B at 2.95, c + sqrt(b) proposes A at
+    # 3 and c proposes A again at 1.  A keeps the value 3 of its first key,
+    # so B is tried first; ranking all three values before dropping the
+    # repeat would try A first, at 1
+    inst = make_instance([(1.0, 4.0, 2), (2.7, 0.25, 1)])
+    counts = np.array([1, 0])
+    _, x, v = _counts_solve(inst, counts)
+    trials = _walk_trials(inst, _power_keys(inst), (counts, v, x))
+    assert trials[0] == [1, 1]
+    assert trials == _reference_trials(inst, _power_keys(inst), (counts, v, x))

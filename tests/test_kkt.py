@@ -82,6 +82,15 @@ class TestSolveRestricted:
         assert res.value == pytest.approx(3.0, rel=1e-12)
         assert res.lam == pytest.approx(6e-309 * 4.0 / 7.0, rel=1e-9)
 
+    def test_overflowing_copy_count_splits_finitely(self):
+        # one copy's 1/(2b) = 5e305 is finite, the fill of 10 000 copies is
+        # not; the split counts again in units of 2**-128
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-306, 1.0), 10000)])
+        res = solve_restricted(inst, range(10000))
+        assert res.x.tolist() == pytest.approx([1e-4] * 10000, rel=1e-14, abs=0.0)
+        assert res.value == pytest.approx(10000.0, rel=1e-15)
+        assert res.lam == pytest.approx(2e-310, rel=1e-9, abs=0.0)
+
     def test_level_below_the_float_range(self):
         # 10 000 active copies of p = 100: the level 101 * 1e-400 underflows,
         # yet each copy carries 1e-4

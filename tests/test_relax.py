@@ -384,9 +384,8 @@ def _one_class_per_copy(inst, fixed_on, fixed_off):
     slope[on] = 0.0
     sel = np.flatnonzero(keep)[np.argsort(slope[keep], kind="stable")]
     b, p = inst.copy_b[sel], inst.copy_p[sel]
-    curve = b * (1.0 + p)
     _, x_s, bound = relax._perspective(slope[sel], np.where(on, 0.0, inst.copy_fixed_cost)[sel],
-                                       b, p, curve ** (-1.0 / p), curve ** (1.0 / p),
+                                       b, p, (b * (1.0 + p)) ** (-1.0 / p),
                                        np.ones(sel.size), sorted(set(p.tolist())))
     x = np.zeros(inst.q)
     x[sel[:x_s.size]] = x_s
@@ -596,11 +595,11 @@ class TestSettle:
 
     @pytest.mark.parametrize("p", [1.0 + 1e-9, 2.0], ids=["shared", "mixed"])
     def test_overflowing_fill_off_the_linear_path(self, p):
-        # 4 / r, the fill of four copies of b = 1e-308 and p = 1 + 1e-9, passes
+        # 4 g1, the fill of four copies of b = 1e-308 and p = 1 + 1e-9, passes
         # the float range, so the settle counts again in units of 2**-128; the
         # four copies settle at their slope 1 and share the unit
         tiny = PowerLatency(1e-308, 1.0 + 1e-9)
-        assert np.isinf(4.0 / (tiny.b * (1.0 + tiny.p)) ** (1.0 / tiny.p))
+        assert np.isinf(4.0 * (tiny.b * (1.0 + tiny.p)) ** (-1.0 / tiny.p))
         inst = Instance.from_groups([ResourceGroup(1.0, tiny, 4),
                                      ResourceGroup(2.0, PowerLatency(1.0, p))])
         # with all four copies on, their class at slope 0 fills 4 / r and would
@@ -610,3 +609,14 @@ class TestSettle:
         res = continuous_relaxation_bound(inst)
         assert res.x.tolist() == pytest.approx([0.25] * 4 + [0.0], rel=1e-12)
         assert res.bound == pytest.approx(1.0, rel=1e-12)
+
+    def test_overflowing_interior_loads_exact(self):
+        # 10 000 on copies of b = 1e-308 fill 10 000 g1 = 5e311, so the
+        # interior split counts in units of 2**-128; there unit / sum is
+        # subnormal, and a load read as unit / sum times g1 was off by 1e-12
+        # relative where scaled fill over scaled sum is exact
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-308, 1.0), 10_000),
+                                     ResourceGroup(5.0, PowerLatency(1.0, 1.0))])
+        res = continuous_relaxation_bound(inst, fixed_on=range(10_000))
+        assert res.x.tolist() == pytest.approx([1e-4] * 10_000 + [0.0], rel=1e-14, abs=0.0)
+        assert res.bound == 10_000.0
