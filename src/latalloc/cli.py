@@ -205,7 +205,9 @@ INSTANCE_CLASSES = {
 
 def entry_instances(entry) -> list:
     """The (label, Instance) pairs of one suite entry; ValueError names what is wrong with it."""
-    klass = entry.get("class") if isinstance(entry, dict) else entry
+    if not isinstance(entry, dict):
+        raise ValueError(f"an entry must be an object with a \"class\", got {entry!r}")
+    klass = entry.get("class")
     if klass not in INSTANCE_CLASSES:
         raise ValueError(f"unknown instance class {klass!r}")
     keys, expand = INSTANCE_CLASSES[klass]

@@ -9,20 +9,22 @@ the mixed key c + b**(1/(p+1)).  The keys descend into opposite corners of
 the landscape - cheap-activation sets with shared load versus a few fast
 resources paid for up front - so three walks run: the plain key and the
 power keys from the relaxation seed, and the power keys from the best
-prefix of the stand-alone-cost order.  The cheapest endpoint wins.
+prefix of the stand-alone-cost order.  Trials are priced by
+``kkt._counts_pricer``, which forms no split; each endpoint is re-solved by
+``_counts_solve``, and the first cheapest by that value wins.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kkt import _counts_solve, _counts_to_dense
+from .kkt import _counts_pricer, _counts_solve, _counts_to_dense
 from .model import Allocation, Instance
 from .relax import ordering_algorithm
 
 
-def _walk(instance, keys, start, accepted_values=None):
-    """Greedy single-copy local search from ``start`` = (counts, value, x_groups).
+def _walk(instance, price, keys, start, accepted_values=None):
+    """Greedy single-copy local search from ``start`` = (counts, value).
 
     A round tries at most one removal (never emptying the active set), then
     at most one addition; a move is taken on strict improvement only, so the
@@ -30,12 +32,12 @@ def _walk(instance, keys, start, accepted_values=None):
     among groups with a copy on (removal) or the smallest among groups with
     a copy off (addition).  The first key to propose a group keeps its
     value, and the proposals are tried by value, ties in key order.
-    Returns the endpoint as (counts, value, x_groups).
+    ``price`` values each trial.  Returns the endpoint as (counts, value).
     """
     mult = instance.group_multiplicities
     # removal ranks by -key, so the strongest proposal is always the minimum
     signed = {step: step * np.stack(keys) for step in (-1, +1)}
-    counts, value, x_groups = start
+    counts, value = start
     improved = True
     while improved:
         improved = False
@@ -51,14 +53,13 @@ def _walk(instance, keys, start, accepted_values=None):
             for g in sorted(ranked, key=ranked.get):
                 trial = counts.copy()
                 trial[g] += step
-                _, xg, v = _counts_solve(instance, trial)
+                v = price(trial)
                 if v < value:
-                    counts, value, x_groups = trial, v, xg
-                    improved = True
+                    counts, value, improved = trial, v, True
                     if accepted_values is not None:
                         accepted_values.append(value)
                     break
-    return counts, value, x_groups
+    return counts, value
 
 
 def _dual_seed(instance):
@@ -68,12 +69,12 @@ def _dual_seed(instance):
     return np.bincount(instance.copy_group[support], minlength=len(instance.groups))
 
 
-def _standalone_prefix_seed(instance, standalone):
-    """Best activation counts over prefixes of the stand-alone-cost order.
+def _standalone_prefix_seed(instance, price, standalone):
+    """Best (counts, value) over prefixes of the stand-alone-cost order.
 
     Copies are switched on one at a time, cheapest stand-alone cost
-    c + f(1) first; the prefix with the lowest restricted value seeds a
-    walk toward solutions built on a few strong resources.
+    c + f(1) first; the prefix with the lowest ``price`` seeds a walk
+    toward solutions built on a few strong resources.
     """
     order = np.argsort(standalone, kind="stable")
     counts = np.zeros(len(instance.groups), dtype=np.intp)
@@ -81,9 +82,9 @@ def _standalone_prefix_seed(instance, standalone):
     for g in order:
         for _ in range(instance.groups[g].multiplicity):
             counts[g] += 1
-            _, xg, v = _counts_solve(instance, counts)
+            v = price(counts)
             if best is None or v < best[1]:
-                best = (counts.copy(), v, xg)
+                best = (counts.copy(), v)
     return best
 
 
@@ -92,23 +93,21 @@ def primal_heuristic(instance: Instance, accepted_values: list | None = None) ->
 
     The walks are the plain key c from the relaxation seed, the power keys
     (c + b, c + b**(1/(p+1)), c) from the relaxation seed, and the power
-    keys from the best stand-alone-cost prefix; the first cheapest endpoint
-    is kept.  ``accepted_values``, if given, collects the value after every
-    accepted move, walk after walk.
+    keys from the best stand-alone-cost prefix; the first endpoint cheapest
+    by ``_counts_solve`` is kept.  ``accepted_values``, if given, collects
+    the priced value after every accepted move, walk after walk.
     """
     c = instance.group_fixed_costs
     b = instance.group_b
     power_keys = (c + b, c + b ** (1.0 / (instance.group_p + 1.0)), c)
+    price = _counts_pricer(instance)
     seed = _dual_seed(instance)
-    _, seed_x, seed_v = _counts_solve(instance, seed)
-    relaxation_start = (seed, seed_v, seed_x)
+    relaxation_start = (seed, price(seed))
     walks = (((c,), relaxation_start),
              (power_keys, relaxation_start),
-             (power_keys, _standalone_prefix_seed(instance, c + b)))
-    best = None
-    for keys, start in walks:
-        end = _walk(instance, keys, start, accepted_values)
-        if best is None or end[1] < best[1]:
-            best = end
-    counts, _, x_groups = best
-    return Allocation.from_fractions(instance, _counts_to_dense(instance, counts, x_groups))
+             (power_keys, _standalone_prefix_seed(instance, price, c + b)))
+    ends = [_walk(instance, price, keys, start, accepted_values)[0] for keys, start in walks]
+    solved = [_counts_solve(instance, counts) for counts in ends]
+    best = min(range(len(ends)), key=lambda i: solved[i][2])
+    x = _counts_to_dense(instance, ends[best], solved[best][1])
+    return Allocation.from_fractions(instance, x)

@@ -6,6 +6,7 @@ across used copies at a common level lam.  For a shared power exponent P the
 level has a closed form, by the rule of the perspective interior (``relax``):
 fills k g1, g1 = (b(1+P))^(-1/P), summed in unit 1 or, where that overflows,
 in units of 2^-128; loads scaled fill over scaled sum, lam = (unit / sum)^P.
+As b g1^(1+P) = g1/(1+P), the value is k c + lam/(1+P) (``_counts_pricer``).
 Mixed exponents solve for it with the level kernel of the priced relaxation:
 every active group is one class priced at 0 whose weight is its count, so the
 support search is empty and the kernel's Newton iteration in fill units
@@ -70,6 +71,32 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
     x_groups = np.zeros(len(instance.groups))
     x_groups[active] = x_act
     return float(lam), x_groups, value
+
+
+def _counts_pricer(instance: Instance):
+    """``counts -> _counts_solve(instance, counts)[2]`` up to rounding, from one product.
+
+    The product of the rows c and g1 with k gives k c and S = k g1; lam/(1+P)
+    = b_g (g1_g / S)^P is read off the group g with the largest share
+    k_g g1_g, exact for one active copy at any P.  Mixed exponents, and
+    fills that overflow with every copy on, take ``_counts_solve`` itself.
+    """
+    pe = instance.shared_exponent
+    if pe is not None:
+        b = instance.group_b
+        rows = np.stack([instance.group_fixed_costs, (b * (1.0 + pe)) ** (-1.0 / pe)])
+        with np.errstate(over="ignore"):
+            # no fill sum exceeds the one with every copy on
+            bounded = rows.dot(instance.group_multiplicities)[1] < math.inf
+    if pe is None or not bounded:
+        return lambda counts: _counts_solve(instance, counts)[2]
+    fill, b = rows[1], b.tolist()
+
+    def price(counts):
+        kc, total = rows.dot(counts).tolist()
+        g = int((counts * fill).argmax())
+        return kc + b[g] * (float(fill[g]) / total) ** pe
+    return price
 
 
 def _counts_to_dense(instance: Instance, counts, x_groups) -> np.ndarray:

@@ -331,9 +331,11 @@ class TestBench:
         ({"class": "random", "q": 6, "exponent": "2"}, "exponent: expected a number"),
         ({"class": "random", "q": 6, "exponent": True}, "exponent: expected a number"),
         ({"class": "base", "sizes": [4], "exponent": True}, "exponent: expected a number"),
+        ("base", "an entry must be an object"),
+        (["base", 4], "an entry must be an object"),
     ], ids=["base-exponent", "partition-exponent", "seed", "fractional-repetitions",
             "fractional-weight", "bool-seed", "partition-seeds", "q-and-sizes", "modes-string",
-            "string-exponent", "bool-exponent", "base-bool-exponent"])
+            "string-exponent", "bool-exponent", "base-bool-exponent", "bare-class", "list-entry"])
     def test_entry_rejected_before_any_job(self, tmp_path, capsys, entry, why):
         # these keys were once dropped or rounded, and the suite ran anyway
         suite = tmp_path / "bad.json"

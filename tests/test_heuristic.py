@@ -5,22 +5,22 @@ import pytest
 
 from latalloc import generate_random, primal_heuristic, solve
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
-from latalloc import continuous_relaxation_bound, heuristic
+from latalloc import Allocation, continuous_relaxation_bound, partition_reduction
 from latalloc.heuristic import _dual_seed, _standalone_prefix_seed, _walk
-from latalloc.kkt import _counts_solve
+from latalloc.kkt import _counts_pricer, _counts_solve, _counts_to_dense
 
 from conftest import make_instance, random_corpus
 
 
 def _relaxation_start(inst):
     seed = _dual_seed(inst)
-    _, x, v = _counts_solve(inst, seed)
-    return seed, v, x
+    return seed, _counts_pricer(inst)(seed)
 
 
 def _plain_walk(inst, accepted_values=None):
-    """Endpoint (counts, value, x_groups) of the plain-key walk from the relaxation seed."""
-    return _walk(inst, (inst.group_fixed_costs,), _relaxation_start(inst), accepted_values)
+    """Endpoint (counts, value) of the plain-key walk from the relaxation seed."""
+    return _walk(inst, _counts_pricer(inst), (inst.group_fixed_costs,), _relaxation_start(inst),
+                 accepted_values)
 
 
 def _power_keys(inst):
@@ -33,19 +33,19 @@ def _walks(inst):
     c, b = inst.group_fixed_costs, inst.group_b
     return [((c,), _relaxation_start(inst)),
             (_power_keys(inst), _relaxation_start(inst)),
-            (_power_keys(inst), _standalone_prefix_seed(inst, c + b))]
+            (_power_keys(inst), _standalone_prefix_seed(inst, _counts_pricer(inst), c + b))]
 
 
 def _walk_values(inst):
     """Endpoint values of the plain, power-from-relaxation and power-from-prefix walks."""
-    return [_walk(inst, keys, start)[1] for keys, start in _walks(inst)]
+    return [_walk(inst, _counts_pricer(inst), keys, start)[1] for keys, start in _walks(inst)]
 
 
 def test_frozen_walk_trace(ladder3):
     # seed is all three resources at 72/11; dropping c=3 gives 21/5, dropping
     # c=2 gives 4, and no further move improves
     acc = []
-    counts, value, _ = _plain_walk(ladder3, acc)
+    counts, value = _plain_walk(ladder3, acc)
     assert acc == pytest.approx([4.2, 4.0], abs=1e-12)
     assert value == pytest.approx(4.0, abs=1e-12)
     assert list(counts) == [0, 0, 1]
@@ -127,16 +127,18 @@ def test_constant_family_rejected():
         primal_heuristic(inst)
 
 
-def _reference_trials(inst, keys, start):
-    """Trial counts, in order, of a walk whose moves are ranked key by key.
+def _reference_walk(inst, keys, start):
+    """A walk whose moves are ranked key by key and priced by ``_counts_solve``.
 
     Each key proposes one group: the largest key among groups with a copy on
     (removal), the smallest among groups with a copy off (addition).  The
     first key to propose a group keeps its value, then a stable sort by
-    value puts ties in key order.
+    value puts ties in key order.  Returns the trial counts in order and the
+    endpoint as (counts, value, x_groups).
     """
     mult = inst.group_multiplicities
-    counts, value, _ = start
+    counts, value = start
+    x_groups = _counts_solve(inst, counts)[1]
     trials = []
     improved = True
     while improved:
@@ -156,25 +158,52 @@ def _reference_trials(inst, keys, start):
                 trial = counts.copy()
                 trial[g] += step
                 trials.append(trial.tolist())
-                v = _counts_solve(inst, trial)[2]
+                _, xg, v = _counts_solve(inst, trial)
                 if v < value:
-                    counts, value, improved = trial, v, True
+                    counts, value, x_groups, improved = trial, v, xg, True
                     break
-    return trials
+    return trials, (counts, value, x_groups)
+
+
+def _reference_trials(inst, keys, start):
+    """Trial counts, in order, of the reference walk."""
+    return _reference_walk(inst, keys, start)[0]
 
 
 def _walk_trials(inst, keys, start):
-    """Trial counts, in order, that ``_walk`` hands to the restricted solve."""
+    """Trial counts, in order, that ``_walk`` hands to its pricer."""
     trials = []
+    price = _counts_pricer(inst)
 
-    def recording(instance, counts):
+    def recording(counts):
         trials.append(counts.tolist())
-        return _counts_solve(instance, counts)
+        return price(counts)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(heuristic, "_counts_solve", recording)
-        _walk(inst, keys, start)
+    _walk(inst, recording, keys, start)
     return trials
+
+
+def _reference_heuristic(inst):
+    """``primal_heuristic`` with every trial priced by ``_counts_solve``."""
+    c, b = inst.group_fixed_costs, inst.group_b
+    counts = np.zeros(len(inst.groups), dtype=np.intp)
+    prefix = None
+    for g in np.argsort(c + b, kind="stable"):
+        for _ in range(inst.groups[g].multiplicity):
+            counts[g] += 1
+            v = _counts_solve(inst, counts)[2]
+            if prefix is None or v < prefix[1]:
+                prefix = (counts.copy(), v)
+    seed = _dual_seed(inst)
+    relaxation_start = (seed, _counts_solve(inst, seed)[2])
+    best = None
+    for keys, start in (((c,), relaxation_start), (_power_keys(inst), relaxation_start),
+                        (_power_keys(inst), prefix)):
+        end = _reference_walk(inst, keys, start)[1]
+        if best is None or end[1] < best[1]:
+            best = end
+    counts, _, x_groups = best
+    return Allocation.from_fractions(inst, _counts_to_dense(inst, counts, x_groups))
 
 
 def _multiplicity_instances(n, seed):
@@ -203,7 +232,18 @@ def test_first_proposing_key_sets_the_rank():
     # repeat would try A first, at 1
     inst = make_instance([(1.0, 4.0, 2), (2.7, 0.25, 1)])
     counts = np.array([1, 0])
-    _, x, v = _counts_solve(inst, counts)
-    trials = _walk_trials(inst, _power_keys(inst), (counts, v, x))
+    start = counts, _counts_solve(inst, counts)[2]
+    trials = _walk_trials(inst, _power_keys(inst), start)
     assert trials[0] == [1, 1]
-    assert trials == _reference_trials(inst, _power_keys(inst), (counts, v, x))
+    assert trials == _reference_trials(inst, _power_keys(inst), start)
+
+
+def test_heuristic_matches_reference_bit_for_bit():
+    # ties between walk endpoints decide the winner on partition embeddings
+    rng = np.random.Generator(np.random.PCG64(9300))
+    embeddings = [partition_reduction(rng.integers(1, 20, int(rng.integers(3, 8))).tolist())
+                  for _ in range(50)]
+    for inst in [*_multiplicity_instances(150, 9200), *embeddings]:
+        a, ref = primal_heuristic(inst), _reference_heuristic(inst)
+        assert a.value == ref.value
+        assert a.x.tobytes() == ref.x.tobytes()

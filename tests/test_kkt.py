@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latalloc import (
@@ -14,6 +14,8 @@ from latalloc import (
     solve_identical,
     solve_restricted,
 )
+from latalloc.kkt import _counts_pricer, _counts_solve
+from latalloc.model import MAX_EXPONENT
 
 from conftest import assert_kkt, make_instance, run_isolated
 
@@ -122,6 +124,64 @@ class TestSolveRestricted:
         res = solve_restricted(inst, range(inst.q))
         assert_kkt(inst, res.x, res.lam)
         assert res.value >= 0.0
+
+
+class TestCountsPricer:
+    """``_counts_pricer`` values a count vector as ``_counts_solve`` does, up to rounding."""
+
+    @given(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-100.0, 100.0),
+                              st.integers(1, 30)), min_size=2, max_size=8),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_counts_solve(self, p, groups, data):
+        inst = Instance.from_groups([ResourceGroup(c, PowerLatency(10.0 ** e, p), m)
+                                     for c, e, m in groups])
+        counts = np.array([data.draw(st.integers(0, m)) for m in inst.multiplicities])
+        assume(counts.any())
+        assert _counts_pricer(inst)(counts) == pytest.approx(
+            _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("counts", [[10000, 2], [10000, 0], [5000, 1], [1, 1], [1, 0],
+                                        [0, 2], [0, 1]])
+    def test_overflowing_fill_sums(self, counts):
+        # 1/(2b) is 5e305 and 1.7e308: 10 000 copies of the first, or both
+        # copies of the second, sum past the float range, one copy does not
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-306, 1.0), 10000),
+                                     ResourceGroup(2.0, PowerLatency(3e-309, 1.0), 2)])
+        counts = np.array(counts)
+        assert _counts_pricer(inst)(counts) == pytest.approx(
+            _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
+
+    def test_level_read_off_the_largest_share(self):
+        # the three copies of b = 1e300 carry 1e-315 each, far below the
+        # normal float range, so their load would fix the level to 8 digits
+        inst = Instance.from_groups([ResourceGroup(0.0, PowerLatency(1e300, 1.0), 3),
+                                     ResourceGroup(0.0, PowerLatency(1e-15, 1.0), 1)])
+        counts = np.array([3, 1])
+        assert _counts_pricer(inst)(counts) == pytest.approx(
+            _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
+
+    def test_largest_exponent(self):
+        # at p = 1e6 the level S^-p from the fill sum would carry g1's
+        # rounding a million times over; one active copy costs c + b exactly
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(3.0, MAX_EXPONENT), 3),
+                                     ResourceGroup(2.0, PowerLatency(0.5, MAX_EXPONENT), 2)])
+        price = _counts_pricer(inst)
+        assert price(np.array([1, 0])) == 4.0
+        assert price(np.array([0, 1])) == 2.5
+        for counts in ([2, 0], [1, 1], [3, 2]):
+            counts = np.array(counts)
+            assert price(counts) == pytest.approx(_counts_solve(inst, counts)[2],
+                                                  rel=1e-14, abs=0.0)
+
+    def test_mixed_exponents_take_counts_solve(self):
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(2.0, 1.0), 2),
+                                     ResourceGroup(1.5, PowerLatency(3.0, 2.0), 3)])
+        price = _counts_pricer(inst)
+        for counts in ([1, 0], [0, 3], [2, 1], [1, 3]):
+            counts = np.array(counts)
+            assert price(counts) == _counts_solve(inst, counts)[2]
 
 
 class TestSolveIdentical:
