@@ -2,26 +2,20 @@
 
 Once the set of activated copies is chosen, splitting the unit of demand is a
 convex program whose stationarity conditions equalize the load-cost marginals
-across used copies at a common level lam.  For a shared power exponent P the
-level has a closed form, by the rule of the perspective interior (``relax``):
-fills k g1, g1 = (b(1+P))^(-1/P), summed in unit 1 or, where that overflows,
-in units of 2^-128; loads scaled fill over scaled sum, lam = (unit / sum)^P.
-As b g1^(1+P) = g1/(1+P), the value is k c + lam/(1+P) (``_counts_pricer``).
-Mixed exponents solve for it with the level kernel of the priced relaxation:
-every active group is one class priced at 0 whose weight is its count, so the
-support search is empty and the kernel's Newton iteration in fill units
-finds the level.
+across used copies at a common level lam.  Every active copy is priced at 0, so
+the split depends on one fill sum per exponent (``_zero_price_split``, also
+used by the heuristic's pricer and by the interior of the node bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .model import Allocation, Instance, ResourceGroup
-from .relax import _level
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,78 +27,87 @@ class RestrictedResult:
     value: float
 
 
-def _counts_solve(instance: Instance, counts: np.ndarray):
+def _zero_price_split(exponents, sums, unit):
+    """Level at which copies priced at 0 pour ``unit``, and the load divisor of each exponent.
+
+    A copy of exponent P carries lam^(1/P) g1, g1 = (b(1+P))^(-1/P); with
+    F_P = ``sums[j]`` = sum w unit g1 over the copies of P = ``exponents[j]``,
+    lam solves sum_P F_P lam^(1/P) = unit.  In z = lam^(1/big), big the
+    largest P with copies, P alone pours the unit at z_P = (unit/F_P)^(P/big),
+    and at z = z0 t, z0 = min z_P, the share (z0/z_P)^(big/P) t^(big/P): a
+    sum convex and increasing in t, >= 1 at t = 1, so Newton from t = 1
+    needs no bracket.  Returns (lam, d, i, w).  A copy of P carries its
+    scaled fill over d_P = F_P / share_P, formed without lam, which can leave
+    the float range where the loads do not; lam is read off the exponent P_i
+    with the largest share; as b g1^(1+P) = g1/(1+P), the copies' latency is
+    w lam/(1+P_i).  With one exponent t = 1 is the root: d is F and w is 1.
+    """
+    if len(sums) == 1:
+        return (unit / sums[0]) ** exponents[0], sums, 0, 1.0
+    big = max(P for P, F in zip(exponents, sums) if F > 0.0)
+    zs = [(unit / F) ** (P / big) if F > 0.0 else math.inf for P, F in zip(exponents, sums)]
+    z0 = min(zs)
+    powers = [big / P for P in exponents]
+    rho = [(z0 / z) ** m for z, m in zip(zs, powers)]
+    t, share, f = 1.0, rho, sum(rho) - 1.0
+    while f > 0.0:
+        t_next = t - f * t / sum(map(mul, share, powers))
+        share_next = [r * t_next ** m for r, m in zip(rho, powers)]
+        f_next = sum(share_next) - 1.0
+        if not (t_next > 0.0 and f_next < f):
+            break
+        t, share, f = t_next, share_next, f_next
+    d = [F / s if s > 0.0 else math.inf for F, s in zip(sums, share)]
+    i = share.index(max(share))
+    w = sum(s * (1.0 + exponents[i]) / (1.0 + P) for P, s in zip(exponents, share))
+    return (unit / d[i]) ** exponents[i], d, i, w
+
+
+def _counts_solve(instance: Instance, counts):
     """Optimal split for ``counts[g]`` active copies per group.
 
     Identical copies share the load equally, so only per-group counts matter.
     Returns (lam, per-group fraction, total cost with fixed charges).
     """
-    counts = np.asarray(counts, dtype=np.intp)
-    active = counts > 0
-    if not active.any():
+    k = np.asarray(counts, dtype=float)
+    act = k.nonzero()[0]
+    if not act.size:
         raise ValueError("active set must be nonempty")
-    k = counts[active].astype(float)
-    b = instance.group_b[active]
-    p = instance.group_p[active]
-    c = instance.group_fixed_costs[active]
-
-    if (p == p[0]).all():
-        pe = float(p[0])
-        g1 = (b * (1.0 + pe)) ** (-1.0 / pe)
-        # vdot, unlike @, does not warn where the sum overflows; the loads are
-        # formed apart from lam, which can leave the float range where they do not
-        for unit in (1.0, 2.0 ** -128):
-            fill = g1 * unit
-            total = float(np.vdot(k, fill))
-            if total < math.inf:
-                break
-        x_act = fill / total
-        lam = (unit / total) ** pe
-    else:
-        # every active copy of group g carries the same load, so group g is one
-        # class of weight k_g
-        lam, x_act = _level(np.zeros(k.size), b, p, k)
-        # remove the residual of the last Newton step from the simplex constraint
-        x_act *= 1.0 / float(k @ x_act)
-
-    value = float(k @ c + k @ (b * x_act ** (1.0 + p)))
+    unit, sums = instance.fill_unit, instance.exponent_fills.dot(k).tolist()
+    lam, d = _zero_price_split(instance.exponents, sums, unit)[:2]
+    x = unit * instance.group_g1[act] / np.array(d)[instance.group_exponent[act]]
     x_groups = np.zeros(len(instance.groups))
-    x_groups[active] = x_act
-    return float(lam), x_groups, value
+    x_groups[act] = x
+    k, latency = k[act], instance.group_b[act] * x ** (1.0 + instance.group_p[act])
+    return lam, x_groups, float(k @ instance.group_fixed_costs[act] + k @ latency)
 
 
 def _counts_pricer(instance: Instance):
-    """``counts -> _counts_solve(instance, counts)[2]`` up to rounding, from one product.
+    """``counts -> _counts_solve(instance, counts)[2]`` up to rounding, without forming the split.
 
-    The product of the rows c and g1 with k gives k c and S = k g1; lam/(1+P)
-    = b_g (g1_g / S)^P is read off the group g with the largest share
-    k_g g1_g, exact for one active copy at any P.  Mixed exponents, and
-    fills that overflow with every copy on, take ``_counts_solve`` itself.
+    One product with k gives the fill sums and k c.  The split's latency is
+    w lam/(1+P_i) (``_zero_price_split``), with lam/(1+P_i) = b_g x_g^P_i
+    read off the group g with the largest fill of exponent P_i: exact for one
+    active copy at any P.  Float counts take the product without a cast.
     """
-    pe = instance.shared_exponent
-    if pe is not None:
-        b = instance.group_b
-        rows = np.stack([instance.group_fixed_costs, (b * (1.0 + pe)) ** (-1.0 / pe)])
-        with np.errstate(over="ignore"):
-            # no fill sum exceeds the one with every copy on
-            bounded = rows.dot(instance.group_multiplicities)[1] < math.inf
-    if pe is None or not bounded:
-        return lambda counts: _counts_solve(instance, counts)[2]
-    fill, b = rows[1], b.tolist()
+    exponents, unit, fills = instance.exponents, instance.fill_unit, instance.exponent_fills
+    rows, fill_rows = np.vstack((fills, instance.group_fixed_costs)), list(fills)
+    b, p = instance.group_b.tolist(), instance.group_p.tolist()
+    fill = (instance.group_g1 * unit).tolist()
 
     def price(counts):
-        kc, total = rows.dot(counts).tolist()
-        g = int((counts * fill).argmax())
-        return kc + b[g] * (float(fill[g]) / total) ** pe
+        sums = rows.dot(counts).tolist()
+        kc = sums.pop()
+        _, d, i, w = _zero_price_split(exponents, sums, unit)
+        g = int((counts * fill_rows[i]).argmax())
+        return kc + b[g] * (fill[g] / d[i]) ** p[g] * w
     return price
 
 
 def _counts_to_dense(instance: Instance, counts, x_groups) -> np.ndarray:
     """Dense per-copy fractions with the first ``counts[g]`` copies of each group active."""
-    counts = np.asarray(counts, dtype=np.intp)
-    x = np.where(instance.copy_pos < counts[instance.copy_group],
-                 np.asarray(x_groups)[instance.copy_group], 0.0)
-    return x
+    on = instance.copy_pos < np.asarray(counts)[instance.copy_group]
+    return np.where(on, np.asarray(x_groups)[instance.copy_group], 0.0)
 
 
 def solve_restricted(instance: Instance, active_copies) -> RestrictedResult:

@@ -211,6 +211,39 @@ class Instance:
         return np.array([g.latency.p for g in self.groups], dtype=float)
 
     @cached_property
+    def exponents(self) -> list:
+        """Distinct power exponents, ascending."""
+        # sorted(set()) rather than np.unique, which imports numpy.ma
+        return sorted(set(self.group_p.tolist()))
+
+    @cached_property
+    def group_exponent(self) -> np.ndarray:
+        """Index of each group's exponent in ``exponents``."""
+        return np.searchsorted(self.exponents, self.group_p)
+
+    @cached_property
+    def group_g1(self) -> np.ndarray:
+        """Load of one copy of each group at marginal level 1, (b(1+p))**(-1/p)."""
+        return (self.group_b * (1.0 + self.group_p)) ** (-1.0 / self.group_p)
+
+    @cached_property
+    def fill_unit(self) -> float:
+        """1, or 2**-128 where ``group_g1`` summed over every copy passes the float range."""
+        with np.errstate(over="ignore"):
+            total = float(self.group_g1 @ self.group_multiplicities)
+        return 1.0 if total < math.inf else 2.0 ** -128
+
+    @cached_property
+    def exponent_fills(self) -> np.ndarray:
+        """Row i holds ``group_g1`` in ``fill_unit`` on the groups of exponent ``exponents[i]``.
+
+        The other entries are 0, so a product with any count vector sums the
+        fills per exponent, and none of those sums overflows.
+        """
+        rows = np.arange(len(self.exponents))[:, None]
+        return np.where(self.group_exponent == rows, self.group_g1 * self.fill_unit, 0.0)
+
+    @cached_property
     def group_offsets(self) -> np.ndarray:
         """offsets[g]:offsets[g+1] is the copy-index range of group g."""
         return np.concatenate(([0], np.cumsum(self.multiplicities))).astype(np.intp)

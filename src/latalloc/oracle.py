@@ -1,11 +1,12 @@
 """Slow, independent reference solvers used to validate the fast paths.
 
 The exhaustive oracle enumerates activation counts per group (copy identity
-never matters) and exact-solves each pattern.  The numeric relaxation
-oracles minimize the priced objective and the perspective (convex-envelope)
-node objective by projected gradient on the simplex, sharing neither the
-sort, the level kernels nor the envelope formula with the fast relaxation
-code.
+never matters) and solves each pattern by its own bisection on the marginal
+level (``restricted_split``), sharing no code with ``kkt``.  The numeric
+relaxation oracles minimize the priced objective and the perspective
+(convex-envelope) node objective by projected gradient on the simplex,
+sharing neither the sort, the level kernels nor the envelope formula with
+the fast relaxation code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 
 import numpy as np
 
-from .kkt import _counts_solve, _counts_to_dense
 from .model import Allocation, Instance
 
 # Exhaustive enumeration guard.
@@ -22,12 +22,39 @@ BRUTE_FORCE_MAX_Q = 20
 PG_MAX_ITERS = 200000
 
 
+def restricted_split(instance: Instance, counts):
+    """Level, per-group loads and value of the best split over ``counts[g]`` copies per group.
+
+    At level lam each active copy of group g carries (lam / (b(1+p)))**(1/p);
+    the level where the copies carry the unit is bisected in Python floats
+    from [0, least b(1+p)], where one copy alone carries the whole unit,
+    until the midpoint stops moving.  The loads are read at the upper end.
+    """
+    active = [(g, k, grp.latency.b * (1.0 + grp.latency.p), 1.0 / grp.latency.p)
+              for g, (k, grp) in enumerate(zip(counts, instance.groups)) if k > 0]
+    if not active:
+        raise ValueError("active set must be nonempty")
+    lo, hi = 0.0, min(curve for _, _, curve, _ in active)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if sum(k * (mid / curve) ** r for _, k, curve, r in active) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    loads = [0.0] * len(instance.groups)
+    value = 0.0
+    for g, k, curve, r in active:
+        grp = instance.groups[g]
+        loads[g] = (hi / curve) ** r
+        value += k * (grp.fixed_cost + grp.latency.b * loads[g] ** (1.0 + grp.latency.p))
+    return hi, loads, value
+
+
 def brute_force_optimum(instance: Instance) -> Allocation:
     """Global optimum by enumerating every per-group activation count vector.
 
     Patterns are visited in lexicographic count order and each is priced by
-    the restricted exact solver, so ties resolve to the pattern seen first.
-    Guarded to q <= 20.
+    ``restricted_split``, so ties resolve to the pattern seen first.  Guarded
+    to q <= 20.
     """
     if instance.q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"brute force is guarded to q <= {BRUTE_FORCE_MAX_Q}, got {instance.q}")
@@ -38,13 +65,15 @@ def brute_force_optimum(instance: Instance) -> Allocation:
     for counts in itertools.product(*(range(m + 1) for m in instance.multiplicities)):
         if not any(counts):
             continue
-        arr = np.asarray(counts, dtype=np.intp)
-        _, x_groups, value = _counts_solve(instance, arr)
+        _, loads, value = restricted_split(instance, counts)
         if best_value is None or value < best_value:
             best_value = value
-            best = (arr, x_groups)
-    counts, x_groups = best
-    return Allocation.from_fractions(instance, _counts_to_dense(instance, counts, x_groups))
+            best = (counts, loads)
+    counts, loads = best
+    # the first counts[g] copies of each group g carry its load
+    x = [loads[g] if i < k else 0.0
+         for g, (k, grp) in enumerate(zip(counts, instance.groups)) for i in range(grp.multiplicity)]
+    return Allocation.from_fractions(instance, x)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ exactly that constant on the simplex, so the kernels solve in shifted prices
 
 The demand D_m poured before the level reaches breakpoint kappa_m is
 nondecreasing in m, so the support is the prefix of classes with D_m < 1,
-ties included.  ``_level``, the one kernel for every exponent, finds the
-last class h of the support by bisection (``_last_below``, one pass per
-probe: D_m sums powers of the offsets kappa_m - kappa_i, which no prefix sum
-carries from one m to the next), then solves the last interval by Newton in
-z, where lam = kappa_h + u z^P:
+ties included.  ``_level``, the kernel of the priced relaxation for every
+exponent, finds the last class h of the support by bisection (``_last_below``,
+one pass per probe: D_m sums powers of the offsets kappa_m - kappa_i, which
+no prefix sum carries from one m to the next), then solves the last interval
+by Newton in z, where lam = kappa_h + u z^P:
 
 * P is the largest exponent in the support.  With d_i = kappa_h - kappa_i,
   class i carries ((d_i + u z^P) / (b_i(1+p_i)))^(1/p_i) per copy, a power
@@ -34,7 +34,7 @@ With linear latencies (P = 1) the demand is linear in z, so Newton reaches
 the root in one step, up to rounding.  Together with the sort that is
 O(n log n) per bound.  The loads are built from the offsets kappa_h - kappa_i
 and the fill, not from lam, so they keep their precision where lam dwarfs
-them.  The restricted solves in ``kkt`` reuse ``_level`` for mixed exponents.
+them.
 
 Pricing every copy at its fee, kappa_i = c_i, gives the paper's root bound
 (``ordering_algorithm(instance, instance.copy_fixed_cost)``), which equals
@@ -43,9 +43,9 @@ costs.  It leaves a wide gap, so branch and bound prices its nodes by the
 tighter perspective bound (``_node_relaxation``, the one place that rule is
 written).  There a group is at most two classes, its copies already on and
 its free copies, laid out by ``_node_classes`` in an order sorted once per
-search, so a node costs O(n log n) at most (below).  Copies
-already on are paid for and carry their true latency.  A free copy is
-priced by the convex envelope h of c 1[x>0] + b x^(p+1) on [0, 1].  With
+search, so a node costs O(n log n) at most (below).  Copies already on are
+paid for and carry their true latency.  A free copy is priced by the
+convex envelope h of c 1[x>0] + b x^(p+1) on [0, 1].  With
 theta = max(1, (p b / c)^(1/(p+1))) and t = 1/theta, h is linear with slope
 s up to t and the true cost beyond: s = c theta (1+p)/p when theta > 1 (the
 tangent from the origin), s = c + b and t = 1 when theta = 1, s = t = 0
@@ -66,9 +66,9 @@ bisection over k, ``_last_below`` probes D(s_m+) instead, one pass each, so
 a node costs O(n min(E, log n)).  The fills are counted in unit 1, and again
 in units of 2^-128 only where their sum overflows.  If the classes before k
 already pour 1 just below s_k, lam lies inside that interval, on their
-curves: with one exponent P, each load is unit g1 over their prefix sum and
-lam = (unit / sum)^P, the split of ``kkt``; with several, ``_level`` at zero
-prices.  Otherwise lam = s_k and class k carries the rest of the unit.
+curves as if priced at 0: ``kkt._zero_price_split`` of the fill sums per
+exponent the settle pass holds at k - 1.  Otherwise lam = s_k and class k
+carries the rest of the unit.
 Loading only the last of several tied classes, or counting a tie as active
 only strictly above its slope, breaks that monotonicity and gives wrong
 optima on partition embeddings, where every class ties at s = W.
@@ -87,6 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kkt import _zero_price_split
 from .model import Instance
 
 _TINY = math.ulp(0.0)
@@ -260,21 +261,20 @@ def _envelope(c, b, p):
     return s, t
 
 
-def _perspective(s, c, b, p, g1, w, exponents):
+def _perspective(s, c, b, p, g1, e, w, exponents):
     """Level, per-copy loads of the support and Lagrangean bound over classes sorted by slope.
 
     Class j has envelope slope ``s[j]`` (ascending), fee ``c[j]`` (0 for copies
-    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)`` (the load of
-    one copy at level 1) and weight ``w[j] >= 1``; ``exponents`` lists every
-    distinct p, ascending.  The settling class k is the first whose jump makes
-    the cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam,
-    x, bound); the support is the first ``len(x)`` classes, and with a jump
-    the last of them is the settling class carrying the rest of the unit.
+    already on), latency b x**(p+1) with p = ``exponents[int(e[j])]``, load
+    ``g1[j]`` of one copy at level 1 and weight ``w[j] >= 1``.  The settling
+    class k is the first whose jump makes the cumulative demand D(s_k+) reach
+    1 (module docstring).  Returns (lam, x, bound); the support is the first
+    ``len(x)`` classes, and with a jump the last of them is the settling
+    class carrying the rest of the unit.
     """
     n = s.size
     if n == 0:
         raise ValueError("no available resource can carry the demand")
-    shared = len(exponents) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         # products past the settling class may overflow; none is read.  The
         # fills w g1 are counted in unit = 1, and again in units of 2**-128
@@ -282,19 +282,22 @@ def _perspective(s, c, b, p, g1, w, exponents):
         for unit in (1.0, 2.0 ** -128):
             fill = w * unit * g1
             prefix = fill.cumsum()
-            if shared:
-                # one exponent: the general pass below with E = 1, which on
-                # ladder and partition nodes costs 1.5x this scalar form
+            # sums: per exponent, the fill of the classes before k
+            if len(exponents) == 1:
+                # the pass below with E = 1 costs 1.5x this form on ladder and partition
                 k = int((s ** (1.0 / exponents[0]) * prefix).searchsorted(unit))
+                sums = prefix[k - 1:k]
             elif len(exponents) <= n.bit_length():
                 exps = np.array(exponents)[:, None]
                 parts = np.where(p == exps, fill, 0.0).cumsum(axis=1)
                 k = int((s ** (1.0 / exps) * parts).sum(axis=0).searchsorted(unit))
+                sums = parts[:, k - 1]
             else:
                 # a bisection over k takes fewer passes than there are
                 # exponents; no class settles at slope 0, where it pours 0
                 k = _last_below(lambda m: s[m] ** (1.0 / p[:m + 1]) @ fill[:m + 1] / unit,
                                 int(s.searchsorted(0.0, "right")) - 1, n)[0] + 1
+                sums = np.bincount(e[:k].astype(np.intp), fill[:k], len(exponents))
             if prefix[min(k, n - 1)] < math.inf:
                 break
         if k < n:
@@ -305,14 +308,10 @@ def _perspective(s, c, b, p, g1, w, exponents):
         lam, loads = float(s[k]), np.concatenate((x, [(1.0 - pour) / w[k]]))
     else:
         # the level lies below s_k, where the classes before k all sit on their curves
-        if shared or (p[:k] == p[0]).all():
-            total = prefix[k - 1]
-            lam, x = float((unit / total) ** p[0]), unit * g1[:k] / total
-        else:
-            lam, x = _level(np.zeros(k), b[:k], p[:k], w[:k])
+        lam, d = _zero_price_split(exponents, sums.tolist(), unit)[:2]
+        x = unit * g1[:k] / np.array(d)[e[:k].astype(np.intp)]
         pour, loads = float(w[:k] @ x), x
-    curve = b[:k] * (x ** (1.0 + exponents[0]) if shared else x ** (1.0 + p[:k]))
-    return lam, loads, float(w[:k] @ (c[:k] + curve)) + lam * (1.0 - pour)
+    return lam, loads, float(w[:k] @ (c[:k] + b[:k] * x ** (1.0 + p[:k]))) + lam * (1.0 - pour)
 
 
 class NodeClasses(NamedTuple):
@@ -337,11 +336,10 @@ def _node_classes(instance: Instance) -> NodeClasses:
     zeros = np.zeros(n)
     slope = np.concatenate((zeros, slope))
     order = np.argsort(slope, kind="stable")
-    b, p = b[order % n], p[order % n]
-    table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b, p,
-                      (b * (1.0 + p)) ** (-1.0 / p)))
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    return NodeClasses(order, table, t, sorted(set(instance.group_p.tolist())))
+    group = order % n
+    table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b[group], p[group],
+                      instance.group_g1[group], instance.group_exponent[group]))
+    return NodeClasses(order, table, t, instance.exponents)
 
 
 def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_counts):
@@ -356,10 +354,9 @@ def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_co
     """
     on = np.asarray(on_counts, dtype=np.intp)
     free = instance.group_multiplicities - on - off_counts
-    weights = np.concatenate((on, free))[classes.order]
+    weights = np.concatenate((on, free), dtype=float)[classes.order]
     live = weights.nonzero()[0]
-    lam, x, value = _perspective(*classes.table[:, live], weights[live],
-                                  classes.exponents)
+    lam, x, value = _perspective(*classes.table[:, live], weights[live], classes.exponents)
     loads = np.zeros(2 * on.size)
     loads[classes.order[live[:x.size]]] = x
     return lam, loads.reshape(2, on.size), value + float(instance.group_fixed_costs @ on)

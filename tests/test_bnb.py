@@ -18,9 +18,17 @@ from latalloc import (
     solve,
     solve_constant_latency,
 )
-from latalloc import ConstantLatency, Instance, ResourceGroup
+from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
 
 from conftest import exactness_instances, make_instance, priced_node_relaxation, random_corpus
+
+
+def _cycled_exponents(inst):
+    """``inst`` with the exponents 1, 1.5, 2, 3 given to its groups in turn."""
+    return Instance.from_groups([
+        ResourceGroup(g.fixed_cost, PowerLatency(g.latency.b, (1.0, 1.5, 2.0, 3.0)[i % 4]),
+                      g.multiplicity)
+        for i, g in enumerate(inst.groups)])
 
 
 class TestBranchChildren:
@@ -149,12 +157,15 @@ class TestSolve:
         assert alloc.value == pytest.approx(optimum, rel=1e-12)
 
     def test_perspective_exact_and_above_priced_at_every_node(self, monkeypatch):
-        # gate-1 corpus, repeat copies and partition embeddings against
-        # enumeration; at every evaluated node the perspective bound is at
-        # least the priced one
+        # gate-1 corpus, repeat copies, mixed exponents and partition
+        # embeddings against enumeration; at every evaluated node the
+        # perspective bound is at least the priced one
         rng = np.random.Generator(np.random.PCG64(808))
         corpus = (exactness_instances()
                   + [generate_random(4 + s % 9, seed=4100 + s, multiplicity_range=(2, 4))
+                     for s in range(40)]
+                  + [_cycled_exponents(generate_random(4 + s % 9, seed=4200 + s,
+                                                       multiplicity_range=(1, 4)))
                      for s in range(40)]
                   + [partition_reduction(rng.integers(1, 100, size=2 + s % 7).tolist())
                      for s in range(40)])

@@ -14,8 +14,9 @@ from latalloc import (
     solve_identical,
     solve_restricted,
 )
-from latalloc.kkt import _counts_pricer, _counts_solve
+from latalloc.kkt import _counts_pricer, _counts_solve, _zero_price_split
 from latalloc.model import MAX_EXPONENT
+from latalloc.oracle import restricted_split
 
 from conftest import assert_kkt, make_instance, run_isolated
 
@@ -114,6 +115,22 @@ class TestSolveRestricted:
         with pytest.raises(ValueError):
             solve_restricted(inst, [0, 1])
 
+    @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-6.0, 4.0), st.floats(1.0, 3.0),
+                              st.integers(0, 10_000)), min_size=1, max_size=6,
+                    unique_by=lambda row: (row[0], pow(10.0, row[1]), row[2])))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_oracle(self, rows):
+        # up to six exponents, each group its own; the oracle bisects the
+        # level in Python floats and shares no code with kkt
+        counts = np.array([k for *_, k in rows])
+        assume(counts.any())
+        inst = Instance.from_groups([ResourceGroup(c, PowerLatency(10.0 ** e, p), max(k, 1))
+                                     for c, e, p, k in rows])
+        lam, x_groups, value = _counts_solve(inst, counts)
+        assert value == pytest.approx(restricted_split(inst, counts)[2], rel=1e-12, abs=0.0)
+        x = np.where(inst.copy_pos < counts[inst.copy_group], x_groups[inst.copy_group], 0.0)
+        assert_kkt(inst, x, lam)
+
     @given(st.lists(st.tuples(st.floats(0.1, 50.0), st.floats(0.1, 50.0)),
                     min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -129,26 +146,35 @@ class TestSolveRestricted:
 class TestCountsPricer:
     """``_counts_pricer`` values a count vector as ``_counts_solve`` does, up to rounding."""
 
-    @given(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    @given(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.booleans(),
            st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-100.0, 100.0),
                               st.integers(1, 30)), min_size=2, max_size=8),
            st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_counts_solve(self, p, groups, data):
-        inst = Instance.from_groups([ResourceGroup(c, PowerLatency(10.0 ** e, p), m)
-                                     for c, e, m in groups])
+    def test_matches_counts_solve(self, p, mixed, groups, data):
+        # ``mixed`` draws each group's exponent on its own
+        exponents = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+        inst = Instance.from_groups([
+            ResourceGroup(c, PowerLatency(10.0 ** e, data.draw(exponents) if mixed else p), m)
+            for c, e, m in groups])
         counts = np.array([data.draw(st.integers(0, m)) for m in inst.multiplicities])
         assume(counts.any())
-        assert _counts_pricer(inst)(counts) == pytest.approx(
-            _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
+        price = _counts_pricer(inst)
+        assert price(counts) == pytest.approx(_counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
+        # the heuristic hands over float counts
+        assert price(counts.astype(float)) == price(counts)
 
     @pytest.mark.parametrize("counts", [[10000, 2], [10000, 0], [5000, 1], [1, 1], [1, 0],
-                                        [0, 2], [0, 1]])
+                                        [0, 2], [0, 1], [10000, 0, 1], [10000, 2, 3],
+                                        [1, 0, 3], [0, 0, 1]])
     def test_overflowing_fill_sums(self, counts):
         # 1/(2b) is 5e305 and 1.7e308: 10 000 copies of the first, or both
-        # copies of the second, sum past the float range, one copy does not
-        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-306, 1.0), 10000),
-                                     ResourceGroup(2.0, PowerLatency(3e-309, 1.0), 2)])
+        # copies of the second, sum past the float range, one copy does not.
+        # Rows of three counts add a p = 2 group
+        groups = [ResourceGroup(1.0, PowerLatency(1e-306, 1.0), 10000),
+                  ResourceGroup(2.0, PowerLatency(3e-309, 1.0), 2),
+                  ResourceGroup(3.0, PowerLatency(1.0, 2.0), 3)]
+        inst = Instance.from_groups(groups[:len(counts)])
         counts = np.array(counts)
         assert _counts_pricer(inst)(counts) == pytest.approx(
             _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
@@ -175,13 +201,35 @@ class TestCountsPricer:
             assert price(counts) == pytest.approx(_counts_solve(inst, counts)[2],
                                                   rel=1e-14, abs=0.0)
 
-    def test_mixed_exponents_take_counts_solve(self):
-        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(2.0, 1.0), 2),
-                                     ResourceGroup(1.5, PowerLatency(3.0, 2.0), 3)])
-        price = _counts_pricer(inst)
-        for counts in ([1, 0], [0, 3], [2, 1], [1, 3]):
-            counts = np.array(counts)
-            assert price(counts) == _counts_solve(inst, counts)[2]
+
+
+class TestZeroPriceSplit:
+    @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.floats(1e-3, 1e3),
+           st.sampled_from([1.0, 2.0 ** -128]))
+    def test_one_exponent_is_the_general_case(self, p, other, fill, unit):
+        # the early return for one exponent gives what the Newton pass gives
+        # beside an exponent with no copies
+        assume(p != other)
+        lam, d, i, w = _zero_price_split([p, other], [fill * unit, 0.0], unit)
+        assert (lam, d, i, w) == (*_zero_price_split([p], [fill * unit], unit)[:1],
+                                  [fill * unit, np.inf], 0, 1.0)
+
+    @given(st.lists(st.tuples(st.floats(1.0, 3.0), st.floats(1e-3, 1e3)), min_size=2, max_size=6,
+                    unique_by=lambda t: t[0]))
+    def test_shares_pour_the_unit(self, terms):
+        # lam is the level where sum F_P lam**(1/P) reaches 1; the shares
+        # F_P / d_P = F_P lam**(1/P) sum to 1, the largest is i's, and the
+        # latency sum share_P lam / (1+P) is w lam / (1+P_i)
+        exponents, sums = map(list, zip(*sorted(terms)))
+        lam, d, i, w = _zero_price_split(exponents, sums, 1.0)
+        share = [F / dP for F, dP in zip(sums, d)]
+        assert sum(share) == pytest.approx(1.0, abs=1e-14)
+        assert share[i] == max(share)
+        for P, s in zip(exponents, share):
+            assert s == pytest.approx(sum(sums[j] for j in range(len(sums)) if exponents[j] == P)
+                                      * lam ** (1.0 / P), rel=1e-12)
+        assert w * lam / (1.0 + exponents[i]) == pytest.approx(
+            sum(s * lam / (1.0 + P) for P, s in zip(exponents, share)), rel=1e-14)
 
 
 class TestSolveIdentical:

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import latalloc.kkt
 from latalloc import (
     ConstantLatency,
     Instance,
+    PowerLatency,
     ResourceGroup,
     brute_force_optimum,
+    generate_random,
     numeric_relaxation,
     ordering_algorithm,
+    solve,
 )
-from latalloc.oracle import project_simplex
+from latalloc.oracle import project_simplex, restricted_split
 
 from conftest import make_instance, random_corpus
 
@@ -39,6 +43,47 @@ class TestBruteForce:
         inst = Instance.from_groups([ResourceGroup(1.0, ConstantLatency(1.0))])
         with pytest.raises(ValueError):
             brute_force_optimum(inst)
+
+    def test_shares_no_code_with_kkt(self, monkeypatch):
+        # the exactness gate compares the search with this oracle, so an
+        # oracle pricing patterns by the restricted solver under test could
+        # not catch a mispricing
+        corpus = ([generate_random(2 + s % 9, seed=3000 + s) for s in range(10)]
+                  + [make_instance([(2.0, 1.0, 2), (1.0, 3.0, 1)], exponent=2.0),
+                     Instance.from_groups([ResourceGroup(1.0, PowerLatency(2.0, 1.0), 2),
+                                           ResourceGroup(1.5, PowerLatency(3.0, 2.0), 3)])])
+        refs = [brute_force_optimum(inst) for inst in corpus]
+        optima = [solve(inst)[0].value for inst in corpus]
+
+        def unavailable(*args):
+            raise AssertionError("the oracle called into kkt")
+
+        for name in ("_counts_solve", "_counts_pricer", "_counts_to_dense", "_zero_price_split"):
+            monkeypatch.setattr(latalloc.kkt, name, unavailable)
+        for inst, ref, optimum in zip(corpus, refs, optima):
+            alloc = brute_force_optimum(inst)
+            assert alloc.value == ref.value
+            assert alloc.x.tolist() == ref.x.tolist()
+            assert alloc.value == pytest.approx(optimum, rel=1e-12)
+
+    @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.1, 10.0),
+                              st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(0, 5)),
+                    min_size=1, max_size=5, unique_by=lambda row: row[:3]))
+    @settings(max_examples=100, deadline=None)
+    def test_restricted_split_equalizes_marginals(self, rows):
+        # every active copy sits at the returned level and the unit is carried
+        counts = [k for *_, k in rows]
+        assume(any(counts))
+        inst = Instance.from_groups([ResourceGroup(c, PowerLatency(b, p), max(k, 1))
+                                     for c, b, p, k in rows])
+        lam, loads, value = restricted_split(inst, counts)
+        assert sum(k * x for k, x in zip(counts, loads)) == pytest.approx(1.0, abs=1e-12)
+        for k, x, grp in zip(counts, loads, inst.groups):
+            if k:
+                assert grp.latency.marginal(x) == pytest.approx(lam, rel=1e-12)
+        assert value == pytest.approx(sum(k * (grp.fixed_cost + x * grp.latency.f(x))
+                                          for k, x, grp in zip(counts, loads, inst.groups)),
+                                      rel=1e-12)
 
 
 class TestProjectSimplex:
