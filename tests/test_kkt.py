@@ -201,6 +201,16 @@ class TestCountsPricer:
             assert price(counts) == pytest.approx(_counts_solve(inst, counts)[2],
                                                   rel=1e-14, abs=0.0)
 
+    def test_mixed_exponents_take_counts_solve(self):
+        # on mixed exponents the pricer splits by the same zero-price split
+        # as the restricted solve, so small cases take its value exactly
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(2.0, 1.0), 2),
+                                     ResourceGroup(1.5, PowerLatency(3.0, 2.0), 3)])
+        price = _counts_pricer(inst)
+        for counts in ([1, 0], [0, 3], [2, 1], [1, 3]):
+            counts = np.array(counts)
+            assert price(counts) == _counts_solve(inst, counts)[2]
+
 
 
 class TestZeroPriceSplit:
