@@ -10,9 +10,8 @@ the landscape - cheap-activation sets with shared load versus a few fast
 resources paid for up front - so three walks run: the plain key and the
 power keys from the relaxation seed, and the power keys from the best
 prefix of the stand-alone-cost order.  Trials are priced by
-``kkt._counts_pricer``, which forms no split and takes float counts without
-a cast; each endpoint is re-solved by ``_counts_solve``, and the first
-cheapest by that value wins.
+``kkt._counts_pricer``, which forms no split; each endpoint is re-solved by
+``_counts_solve``, and the first cheapest by that value wins.
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ def _walk(instance, price, keys, start, accepted_values=None):
 
 
 def _dual_seed(instance):
-    """Activation counts of the root relaxation support, as floats like every count of a walk."""
+    """Activation counts of the root relaxation support."""
     root = ordering_algorithm(instance, instance.copy_fixed_cost)
     support = np.asarray(sorted(root.support), dtype=np.intp)
-    return np.bincount(instance.copy_group[support], minlength=len(instance.groups)).astype(float)
+    return np.bincount(instance.copy_group[support], minlength=len(instance.groups))
 
 
 def _standalone_prefix_seed(instance, price, standalone):
@@ -78,7 +77,7 @@ def _standalone_prefix_seed(instance, price, standalone):
     toward solutions built on a few strong resources.
     """
     order = np.argsort(standalone, kind="stable")
-    counts = np.zeros(len(instance.groups))
+    counts = np.zeros(len(instance.groups), dtype=np.intp)
     best = None
     for g in order:
         for _ in range(instance.groups[g].multiplicity):

@@ -27,23 +27,33 @@ class RestrictedResult:
     value: float
 
 
-def _zero_price_split(exponents, sums, unit):
-    """Level at which copies priced at 0 pour ``unit``, and the load divisor of each exponent.
+# Fills are counted in unit 1 or, by a call whose sums overflow in unit 1, in
+# units of 2**-128 (g1 for b near 1e-308 at p = 1)
+FILL_UNITS = (1.0, 2.0 ** -128)
 
-    A copy of exponent P carries lam^(1/P) g1, g1 = (b(1+P))^(-1/P); with
-    F_P = ``sums[j]`` = sum w unit g1 over the copies of P = ``exponents[j]``,
-    lam solves sum_P F_P lam^(1/P) = unit.  In z = lam^(1/big), big the
-    largest P with copies, P alone pours the unit at z_P = (unit/F_P)^(P/big),
-    and at z = z0 t, z0 = min z_P, the share (z0/z_P)^(big/P) t^(big/P): a
-    sum convex and increasing in t, >= 1 at t = 1, so Newton from t = 1
-    needs no bracket.  Returns (lam, d, i, w).  A copy of P carries its
-    scaled fill over d_P = F_P / share_P, formed without lam, which can leave
-    the float range where the loads do not; lam is read off the exponent P_i
-    with the largest share; as b g1^(1+P) = g1/(1+P), the copies' latency is
-    w lam/(1+P_i).  With one exponent t = 1 is the root: d is F and w is 1.
+
+def _zero_price_split(exponents, sums, unit):
+    """Load divisor of each exponent when copies priced at 0 share ``unit``.
+
+    ``sums[j]`` is F_P = sum w unit g1 over the copies of P = ``exponents[j]``,
+    g1 = (b(1+P))^(-1/P).  The level lam solves sum_P F_P lam^(1/P) = unit; in
+    z = lam^(1/big), big the largest P with copies, the shares F_P lam^(1/P)
+    at z = z0 t, z0 = min_P (unit/F_P)^(P/big), sum to a convex increasing
+    function of t that is >= 1 at t = 1, so Newton from t = 1 needs no
+    bracket.  Returns (d, i, w): a copy of P carries its scaled fill over
+    d_P = F_P / share_P, formed without lam, which can leave the float range
+    where the loads do not; i is the exponent with the largest share,
+    lam = (unit / d_i)^P_i, and as b g1^(1+P) = g1/(1+P) the copies' latency
+    is w lam/(1+P_i).  With one exponent t = 1 is the root: d is ``sums``, w 1.
     """
     if len(sums) == 1:
-        return (unit / sums[0]) ** exponents[0], sums, 0, 1.0
+        return sums, 0, 1.0
+    return _newton_split(exponents, sums, unit)
+
+
+def _newton_split(exponents, sums, unit):
+    # apart from _zero_price_split, whose one-exponent return thus skips the
+    # cells these comprehensions take before Python 3.12
     big = max(P for P, F in zip(exponents, sums) if F > 0.0)
     zs = [(unit / F) ** (P / big) if F > 0.0 else math.inf for P, F in zip(exponents, sums)]
     z0 = min(zs)
@@ -57,13 +67,12 @@ def _zero_price_split(exponents, sums, unit):
         if not (t_next > 0.0 and f_next < f):
             break
         t, share, f = t_next, share_next, f_next
-    d = [F / s if s > 0.0 else math.inf for F, s in zip(sums, share)]
     i = share.index(max(share))
     w = sum(s * (1.0 + exponents[i]) / (1.0 + P) for P, s in zip(exponents, share))
-    return (unit / d[i]) ** exponents[i], d, i, w
+    return np.array([F / s if s > 0.0 else math.inf for F, s in zip(sums, share)]), i, w
 
 
-def _counts_solve(instance: Instance, counts):
+def _counts_solve(instance: Instance, counts: np.ndarray):
     """Optimal split for ``counts[g]`` active copies per group.
 
     Identical copies share the load equally, so only per-group counts matter.
@@ -73,9 +82,14 @@ def _counts_solve(instance: Instance, counts):
     act = k.nonzero()[0]
     if not act.size:
         raise ValueError("active set must be nonempty")
-    unit, sums = instance.fill_unit, instance.exponent_fills.dot(k).tolist()
-    lam, d = _zero_price_split(instance.exponents, sums, unit)[:2]
-    x = unit * instance.group_g1[act] / np.array(d)[instance.group_exponent[act]]
+    for unit in FILL_UNITS:
+        # vdot, unlike dot, does not warn where a sum overflows
+        sums = [float(np.vdot(row, k * unit)) for row in instance.exponent_fills]
+        if math.inf not in sums:
+            break
+    d, i, _ = _zero_price_split(instance.exponents, sums, unit)
+    lam = float((unit / d[i]) ** instance.exponents[i])
+    x = unit * instance.group_g1[act] / np.asarray(d)[instance.group_exponent[act]]
     x_groups = np.zeros(len(instance.groups))
     x_groups[act] = x
     k, latency = k[act], instance.group_b[act] * x ** (1.0 + instance.group_p[act])
@@ -88,26 +102,36 @@ def _counts_pricer(instance: Instance):
     One product with k gives the fill sums and k c.  The split's latency is
     w lam/(1+P_i) (``_zero_price_split``), with lam/(1+P_i) = b_g x_g^P_i
     read off the group g with the largest fill of exponent P_i: exact for one
-    active copy at any P.  Float counts take the product without a cast.
+    active copy at any P.
     """
-    exponents, unit, fills = instance.exponents, instance.fill_unit, instance.exponent_fills
-    rows, fill_rows = np.vstack((fills, instance.group_fixed_costs)), list(fills)
+    exponents, g1 = instance.exponents, instance.group_g1.tolist()
     b, p = instance.group_b.tolist(), instance.group_p.tolist()
-    fill = (instance.group_g1 * unit).tolist()
+    # no fill sum exceeds the one over every copy, which vdot forms without a warning
+    bounded = np.vdot(instance.group_g1, instance.group_multiplicities) < math.inf
+    tables = []
+    for unit in FILL_UNITS[:1] if bounded else FILL_UNITS:
+        rows = np.vstack((instance.exponent_fills * unit, instance.group_fixed_costs))
+        tables.append((unit, rows, list(rows)))
 
     def price(counts):
-        sums = rows.dot(counts).tolist()
-        kc = sums.pop()
-        _, d, i, w = _zero_price_split(exponents, sums, unit)
-        g = int((counts * fill_rows[i]).argmax())
-        return kc + b[g] * (fill[g] / d[i]) ** p[g] * w
-    return price
+        for unit, rows, fills in tables:
+            sums = rows.dot(counts).tolist()
+            kc = sums.pop()
+            if math.inf not in sums:
+                break
+        d, i, w = _zero_price_split(exponents, sums, unit)
+        g = int((counts * fills[i]).argmax())
+        return kc + b[g] * (g1[g] * unit / d[i]) ** p[g] * w
+    # a product in unit 1 that can overflow must do so quietly
+    return price if bounded else np.errstate(over="ignore")(price)
 
 
 def _counts_to_dense(instance: Instance, counts, x_groups) -> np.ndarray:
     """Dense per-copy fractions with the first ``counts[g]`` copies of each group active."""
-    on = instance.copy_pos < np.asarray(counts)[instance.copy_group]
-    return np.where(on, np.asarray(x_groups)[instance.copy_group], 0.0)
+    counts = np.asarray(counts, dtype=np.intp)
+    x = np.where(instance.copy_pos < counts[instance.copy_group],
+                 np.asarray(x_groups)[instance.copy_group], 0.0)
+    return x
 
 
 def solve_restricted(instance: Instance, active_copies) -> RestrictedResult:

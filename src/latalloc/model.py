@@ -227,21 +227,13 @@ class Instance:
         return (self.group_b * (1.0 + self.group_p)) ** (-1.0 / self.group_p)
 
     @cached_property
-    def fill_unit(self) -> float:
-        """1, or 2**-128 where ``group_g1`` summed over every copy passes the float range."""
-        with np.errstate(over="ignore"):
-            total = float(self.group_g1 @ self.group_multiplicities)
-        return 1.0 if total < math.inf else 2.0 ** -128
-
-    @cached_property
     def exponent_fills(self) -> np.ndarray:
-        """Row i holds ``group_g1`` in ``fill_unit`` on the groups of exponent ``exponents[i]``.
+        """Row i holds ``group_g1`` on the groups of exponent ``exponents[i]``, 0 elsewhere.
 
-        The other entries are 0, so a product with any count vector sums the
-        fills per exponent, and none of those sums overflows.
+        A product with a count vector sums the fills per exponent.
         """
         rows = np.arange(len(self.exponents))[:, None]
-        return np.where(self.group_exponent == rows, self.group_g1 * self.fill_unit, 0.0)
+        return np.where(self.group_exponent == rows, self.group_g1, 0.0)
 
     @cached_property
     def group_offsets(self) -> np.ndarray:

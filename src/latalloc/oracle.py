@@ -87,33 +87,17 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _minimize_on_simplex(grad, lip, size):
-    """Accelerated projected gradient with constant step 1/``lip`` from the simplex centre.
+    """Projected gradient with constant step 1/``lip`` from the simplex centre.
 
-    Nesterov momentum (FISTA), restarted whenever the step turns against the
-    last move (O'Donoghue and Candès' gradient restart): plain steps crawl
-    where copies on linear envelope pieces of nearly equal slope trade load.
-    The momentum is cut where it would carry a coordinate below 0, so the
-    gradient is only taken on the simplex.  Iterates until the step from the
-    extrapolated point stops moving it (or PG_MAX_ITERS); ``grad`` maps a
+    Iterates until the point stops moving (or PG_MAX_ITERS); ``grad`` maps a
     point to the objective's gradient, ``lip`` bounds its Lipschitz constant.
     """
     step = 1.0 / max(lip, 1e-12)
-    x = y = np.full(size, 1.0 / size)
-    t = 1.0
+    x = np.full(size, 1.0 / size)
     for _ in range(PG_MAX_ITERS):
-        x_next = project_simplex(y - step * grad(y))
-        if float(np.abs(x_next - y).max()) < 1e-15:
+        x_next = project_simplex(x - step * grad(x))
+        if float(np.abs(x_next - x).max()) < 1e-15:
             return x_next
-        move = x_next - x
-        if float((y - x_next) @ move) > 0.0:
-            t, y = 1.0, x_next
-        else:
-            t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
-            beta = (t - 1.0) / t_next
-            down = move < 0.0
-            if down.any():
-                beta = min(beta, float((x_next[down] / -move[down]).min()))
-            t, y = t_next, np.maximum(x_next + beta * move, 0.0)
         x = x_next
     return x
 

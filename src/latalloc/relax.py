@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kkt import _zero_price_split
+from .kkt import FILL_UNITS, _zero_price_split
 from .model import Instance
 
 _TINY = math.ulp(0.0)
@@ -261,16 +261,16 @@ def _envelope(c, b, p):
     return s, t
 
 
-def _perspective(s, c, b, p, g1, e, w, exponents):
+def _perspective(s, c, b, p, g1, w, exponents):
     """Level, per-copy loads of the support and Lagrangean bound over classes sorted by slope.
 
     Class j has envelope slope ``s[j]`` (ascending), fee ``c[j]`` (0 for copies
-    already on), latency b x**(p+1) with p = ``exponents[int(e[j])]``, load
-    ``g1[j]`` of one copy at level 1 and weight ``w[j] >= 1``.  The settling
-    class k is the first whose jump makes the cumulative demand D(s_k+) reach
-    1 (module docstring).  Returns (lam, x, bound); the support is the first
-    ``len(x)`` classes, and with a jump the last of them is the settling
-    class carrying the rest of the unit.
+    already on), latency b x**(p+1), ``g1[j] = (b(1+p))**(-1/p)`` (the load of
+    one copy at level 1) and weight ``w[j] >= 1``; ``exponents`` lists every
+    distinct p, ascending.  The settling class k is the first whose jump makes
+    the cumulative demand D(s_k+) reach 1 (module docstring).  Returns (lam,
+    x, bound); the support is the first ``len(x)`` classes, and with a jump
+    the last of them is the settling class carrying the rest of the unit.
     """
     n = s.size
     if n == 0:
@@ -278,26 +278,28 @@ def _perspective(s, c, b, p, g1, e, w, exponents):
     with np.errstate(over="ignore", invalid="ignore"):
         # products past the settling class may overflow; none is read.  The
         # fills w g1 are counted in unit = 1, and again in units of 2**-128
-        # where the one read passes the float range (w g1 for b near 1e-308)
-        for unit in (1.0, 2.0 ** -128):
+        # where the one read passes the float range (``kkt.FILL_UNITS``)
+        for unit in FILL_UNITS:
             fill = w * unit * g1
             prefix = fill.cumsum()
-            # sums: per exponent, the fill of the classes before k
+            # per exponent, the fill sum of the classes before k; per class,
+            # the index e of its exponent and the power 1 + p of its curve
             if len(exponents) == 1:
-                # the pass below with E = 1 costs 1.5x this form on ladder and partition
+                # the pass below with E = 1 costs 1.5x this scalar form on ladder and partition
                 k = int((s ** (1.0 / exponents[0]) * prefix).searchsorted(unit))
-                sums = prefix[k - 1:k]
+                sums, e, power = [prefix[k - 1]], 0, 1.0 + exponents[0]
             elif len(exponents) <= n.bit_length():
-                exps = np.array(exponents)[:, None]
-                parts = np.where(p == exps, fill, 0.0).cumsum(axis=1)
-                k = int((s ** (1.0 / exps) * parts).sum(axis=0).searchsorted(unit))
-                sums = parts[:, k - 1]
+                exps = np.array(exponents)
+                parts = np.where(p == exps[:, None], fill, 0.0).cumsum(axis=1)
+                k = int((s ** (1.0 / exps[:, None]) * parts).sum(axis=0).searchsorted(unit))
+                sums, e, power = parts[:, k - 1], exps.searchsorted(p[:k]), 1.0 + p[:k]
             else:
                 # a bisection over k takes fewer passes than there are
                 # exponents; no class settles at slope 0, where it pours 0
                 k = _last_below(lambda m: s[m] ** (1.0 / p[:m + 1]) @ fill[:m + 1] / unit,
                                 int(s.searchsorted(0.0, "right")) - 1, n)[0] + 1
-                sums = np.bincount(e[:k].astype(np.intp), fill[:k], len(exponents))
+                e, power = np.searchsorted(exponents, p[:k]), 1.0 + p[:k]
+                sums = np.bincount(e, fill[:k], len(exponents))
             if prefix[min(k, n - 1)] < math.inf:
                 break
         if k < n:
@@ -308,10 +310,10 @@ def _perspective(s, c, b, p, g1, e, w, exponents):
         lam, loads = float(s[k]), np.concatenate((x, [(1.0 - pour) / w[k]]))
     else:
         # the level lies below s_k, where the classes before k all sit on their curves
-        lam, d = _zero_price_split(exponents, sums.tolist(), unit)[:2]
-        x = unit * g1[:k] / np.array(d)[e[:k].astype(np.intp)]
+        d, i, _ = _zero_price_split(exponents, sums, unit)
+        lam, x = float((unit / d[i]) ** exponents[i]), unit * g1[:k] / d[e]
         pour, loads = float(w[:k] @ x), x
-    return lam, loads, float(w[:k] @ (c[:k] + b[:k] * x ** (1.0 + p[:k]))) + lam * (1.0 - pour)
+    return lam, loads, float(w[:k] @ (c[:k] + b[:k] * x ** power)) + lam * (1.0 - pour)
 
 
 class NodeClasses(NamedTuple):
@@ -336,9 +338,9 @@ def _node_classes(instance: Instance) -> NodeClasses:
     zeros = np.zeros(n)
     slope = np.concatenate((zeros, slope))
     order = np.argsort(slope, kind="stable")
-    group = order % n
-    table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b[group], p[group],
-                      instance.group_g1[group], instance.group_exponent[group]))
+    b, p = b[order % n], p[order % n]
+    table = np.stack((slope[order], np.concatenate((zeros, fee))[order], b, p,
+                      (b * (1.0 + p)) ** (-1.0 / p)))
     return NodeClasses(order, table, t, instance.exponents)
 
 
@@ -354,9 +356,10 @@ def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_co
     """
     on = np.asarray(on_counts, dtype=np.intp)
     free = instance.group_multiplicities - on - off_counts
-    weights = np.concatenate((on, free), dtype=float)[classes.order]
+    weights = np.concatenate((on, free))[classes.order]
     live = weights.nonzero()[0]
-    lam, x, value = _perspective(*classes.table[:, live], weights[live], classes.exponents)
+    lam, x, value = _perspective(*classes.table[:, live], weights[live],
+                                  classes.exponents)
     loads = np.zeros(2 * on.size)
     loads[classes.order[live[:x.size]]] = x
     return lam, loads.reshape(2, on.size), value + float(instance.group_fixed_costs @ on)

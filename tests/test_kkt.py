@@ -94,6 +94,22 @@ class TestSolveRestricted:
         assert res.value == pytest.approx(10000.0, rel=1e-15)
         assert res.lam == pytest.approx(2e-310, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0], ids=["shared", "mixed"])
+    def test_unit_chosen_per_count_vector(self, p):
+        # the fills of every copy sum past the float range, the one copy of
+        # b = 1e300 does not: its fill 5e-301 is counted in unit 1, where in
+        # units of 2**-128 it would read 0
+        inst = Instance.from_groups([ResourceGroup(1.0, PowerLatency(1e-306, 1.0), 10000),
+                                     ResourceGroup(0.0, PowerLatency(1e300, 1.0), 1),
+                                     ResourceGroup(1.0, PowerLatency(1.0, p), 1)])
+        counts = np.array([0, 1, 0])
+        lam, x_groups, value = _counts_solve(inst, counts)
+        assert (x_groups.tolist(), value) == ([0.0, 1.0, 0.0], 1e300)
+        assert lam == pytest.approx(2e300, rel=1e-15)
+        res = solve_restricted(inst, [10000])
+        assert (res.x[10000], res.value) == (1.0, 1e300)
+        assert _counts_pricer(inst)(counts) == 1e300
+
     def test_level_below_the_float_range(self):
         # 10 000 active copies of p = 100: the level 101 * 1e-400 underflows,
         # yet each copy carries 1e-4
@@ -159,10 +175,8 @@ class TestCountsPricer:
             for c, e, m in groups])
         counts = np.array([data.draw(st.integers(0, m)) for m in inst.multiplicities])
         assume(counts.any())
-        price = _counts_pricer(inst)
-        assert price(counts) == pytest.approx(_counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
-        # the heuristic hands over float counts
-        assert price(counts.astype(float)) == price(counts)
+        assert _counts_pricer(inst)(counts) == pytest.approx(
+            _counts_solve(inst, counts)[2], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("counts", [[10000, 2], [10000, 0], [5000, 1], [1, 1], [1, 0],
                                         [0, 2], [0, 1], [10000, 0, 1], [10000, 2, 3],
@@ -212,7 +226,6 @@ class TestCountsPricer:
             assert price(counts) == _counts_solve(inst, counts)[2]
 
 
-
 class TestZeroPriceSplit:
     @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0), st.floats(1e-3, 1e3),
            st.sampled_from([1.0, 2.0 ** -128]))
@@ -220,18 +233,19 @@ class TestZeroPriceSplit:
         # the early return for one exponent gives what the Newton pass gives
         # beside an exponent with no copies
         assume(p != other)
-        lam, d, i, w = _zero_price_split([p, other], [fill * unit, 0.0], unit)
-        assert (lam, d, i, w) == (*_zero_price_split([p], [fill * unit], unit)[:1],
-                                  [fill * unit, np.inf], 0, 1.0)
+        d, i, w = _zero_price_split([p, other], [fill * unit, 0.0], unit)
+        assert (d.tolist(), i, w) == ([fill * unit, np.inf], 0, 1.0)
+        assert _zero_price_split([p], [fill * unit], unit) == ([fill * unit], 0, 1.0)
 
     @given(st.lists(st.tuples(st.floats(1.0, 3.0), st.floats(1e-3, 1e3)), min_size=2, max_size=6,
                     unique_by=lambda t: t[0]))
     def test_shares_pour_the_unit(self, terms):
-        # lam is the level where sum F_P lam**(1/P) reaches 1; the shares
-        # F_P / d_P = F_P lam**(1/P) sum to 1, the largest is i's, and the
-        # latency sum share_P lam / (1+P) is w lam / (1+P_i)
+        # lam = d_i**-P_i is the level where sum F_P lam**(1/P) reaches 1;
+        # the shares F_P / d_P = F_P lam**(1/P) sum to 1, the largest is
+        # i's, and the latency sum share_P lam / (1+P) is w lam / (1+P_i)
         exponents, sums = map(list, zip(*sorted(terms)))
-        lam, d, i, w = _zero_price_split(exponents, sums, 1.0)
+        d, i, w = _zero_price_split(exponents, sums, 1.0)
+        lam = (1.0 / d[i]) ** exponents[i]
         share = [F / dP for F, dP in zip(sums, d)]
         assert sum(share) == pytest.approx(1.0, abs=1e-14)
         assert share[i] == max(share)

@@ -384,10 +384,9 @@ def _one_class_per_copy(inst, fixed_on, fixed_off):
     slope[on] = 0.0
     sel = np.flatnonzero(keep)[np.argsort(slope[keep], kind="stable")]
     b, p = inst.copy_b[sel], inst.copy_p[sel]
-    exponents = sorted(set(p.tolist()))
     _, x_s, bound = relax._perspective(slope[sel], np.where(on, 0.0, inst.copy_fixed_cost)[sel],
                                        b, p, (b * (1.0 + p)) ** (-1.0 / p),
-                                       np.searchsorted(exponents, p), np.ones(sel.size), exponents)
+                                       np.ones(sel.size), sorted(set(p.tolist())))
     x = np.zeros(inst.q)
     x[sel[:x_s.size]] = x_s
     return x, bound + float(inst.copy_fixed_cost[on].sum())
