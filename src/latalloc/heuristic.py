@@ -12,9 +12,22 @@ power keys from the relaxation seed, and the power keys from the best
 prefix of the stand-alone-cost order.  Trials are priced by
 ``kkt._counts_pricer``, which forms no split; each endpoint is re-solved by
 ``_counts_solve``, and the first cheapest by that value wins.
+
+Each key orders the groups once per run, by -key for removals and by +key
+for additions, ties in group order: a lane.  A walk keeps the position of
+each lane's first group that can move its way (a copy on to drop, a copy
+off to add), which is the lane's proposal.  An accepted move changes one
+group, so only that group can become movable, pulling a head back to it,
+or stop being movable, sending the head forward from where it was; a round
+is O(keys) Python work plus the pricing, not a pass over the k x n key
+matrix.  A trial changes the walk's float counts in place and is undone on
+rejection, so no counts array is copied or cast per trial.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,42 +36,90 @@ from .model import Allocation, Instance
 from .relax import ordering_algorithm
 
 
-def _walk(instance, price, keys, start, accepted_values=None):
+class _Lane(NamedTuple):
+    """One key's groups in the proposal order of one direction, built once per heuristic run."""
+
+    order: list   # groups ascending by step * key, ties in group order
+    rank: list    # step * key in that order
+    place: list   # place[g]: the position of group g in ``order``
+
+
+def _lanes(key):
+    """The removal lane (ascending by -key) and the addition lane (by +key) of ``key``, by step."""
+    lanes = {}
+    for step in (-1, +1):
+        signed = step * key
+        order = np.argsort(signed, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        lanes[step] = _Lane(order.tolist(), signed[order].tolist(), place.tolist())
+    return lanes
+
+
+def _first_movable(lane, room, pos):
+    """Position of the first group from ``pos`` on in ``lane`` with ``room`` to move."""
+    order = lane.order
+    while pos < len(order) and not room[order[pos]]:
+        pos += 1
+    return pos
+
+
+def _walk(instance, price, lanes, start, accepted_values=None):
     """Greedy single-copy local search from ``start`` = (counts, value).
 
     A round tries at most one removal (never emptying the active set), then
     at most one addition; a move is taken on strict improvement only, so the
     walk terminates.  Each key proposes one group to move: the largest key
     among groups with a copy on (removal) or the smallest among groups with
-    a copy off (addition).  The first key to propose a group keeps its
-    value, and the proposals are tried by value, ties in key order.
-    ``price`` values each trial.  Returns the endpoint as (counts, value).
+    a copy off (addition), ties to the lowest group.  The first key to
+    propose a group keeps its value, and the proposals are tried by value,
+    ties in key order; a +inf addition key is never proposed.
+
+    ``lanes`` holds ``_lanes(key)`` per key.  The walk keeps, per lane, the
+    position of its first group with room to move, which is that lane's
+    proposal; an accepted move changes one group, so each head moves back
+    to it or scans forward from where it was.  A trial changes the float
+    counts in place and a rejected one is undone.  ``price`` values each
+    trial.  Returns the endpoint as (float counts, value).
     """
-    mult = instance.group_multiplicities
-    # removal ranks by -key, so the strongest proposal is always the minimum
-    signed = {step: step * np.stack(keys) for step in (-1, +1)}
     counts, value = start
+    counts = np.array(counts, dtype=float)
+    held = counts.astype(np.intp)
+    # room[step][g]: the copies of group g that a move by step can switch
+    room = {-1: held.tolist(), +1: (instance.group_multiplicities - held).tolist()}
+    lanes = {step: [key_lanes[step] for key_lanes in lanes] for step in (-1, +1)}
+    heads = {step: [_first_movable(lane, room[step], 0) for lane in lanes[step]]
+             for step in (-1, +1)}
+    on = sum(room[-1])
     improved = True
     while improved:
         improved = False
         for step in (-1, +1):
-            if step < 0 and counts.sum() <= 1:
+            if step < 0 and on <= 1:
                 continue
-            masked = np.where(counts > 0 if step < 0 else counts < mult, signed[step], np.inf)
-            proposed = masked.argmin(axis=1)
             ranked = {}
-            for rank, g in zip(masked.min(axis=1).tolist(), proposed.tolist()):
-                if rank < np.inf:
-                    ranked.setdefault(g, rank)
+            for lane, head in zip(lanes[step], heads[step]):
+                if head < len(lane.order) and lane.rank[head] < math.inf:
+                    ranked.setdefault(lane.order[head], lane.rank[head])
             for g in sorted(ranked, key=ranked.get):
-                trial = counts.copy()
-                trial[g] += step
-                v = price(trial)
+                counts[g] += step
+                v = price(counts)
                 if v < value:
-                    counts, value, improved = trial, v, True
+                    value, improved, on = v, True, on + step
                     if accepted_values is not None:
                         accepted_values.append(value)
+                    room[-1][g] += step
+                    room[+1][g] -= step
+                    for way in (-1, +1):
+                        movable = room[way][g] > 0
+                        for j, lane in enumerate(lanes[way]):
+                            pos = lane.place[g]
+                            if movable and pos < heads[way][j]:
+                                heads[way][j] = pos
+                            elif not movable and pos == heads[way][j]:
+                                heads[way][j] = _first_movable(lane, room[way], pos + 1)
                     break
+                counts[g] -= step
     return counts, value
 
 
@@ -77,7 +138,7 @@ def _standalone_prefix_seed(instance, price, standalone):
     toward solutions built on a few strong resources.
     """
     order = np.argsort(standalone, kind="stable")
-    counts = np.zeros(len(instance.groups), dtype=np.intp)
+    counts = np.zeros(len(instance.groups))
     best = None
     for g in order:
         for _ in range(instance.groups[g].multiplicity):
@@ -98,15 +159,21 @@ def primal_heuristic(instance: Instance, accepted_values: list | None = None) ->
     the priced value after every accepted move, walk after walk.
     """
     c = instance.group_fixed_costs
-    b = instance.group_b
-    power_keys = (c + b, c + b ** (1.0 / (instance.group_p + 1.0)), c)
+    with np.errstate(over="ignore"):
+        # a stand-alone cost past the float range is +inf: removed first,
+        # never added
+        standalone = c + instance.group_b
+        mixed = c + instance.group_b ** (1.0 / (instance.group_p + 1.0))
+    plain = _lanes(c)
+    power = (_lanes(standalone), _lanes(mixed), plain)
     price = _counts_pricer(instance)
-    seed = _dual_seed(instance)
+    seed = _dual_seed(instance).astype(float)
     relaxation_start = (seed, price(seed))
-    walks = (((c,), relaxation_start),
-             (power_keys, relaxation_start),
-             (power_keys, _standalone_prefix_seed(instance, price, c + b)))
-    ends = [_walk(instance, price, keys, start, accepted_values)[0] for keys, start in walks]
+    walks = (((plain,), relaxation_start),
+             (power, relaxation_start),
+             (power, _standalone_prefix_seed(instance, price, standalone)))
+    ends = [_walk(instance, price, lanes, start, accepted_values)[0].astype(np.intp)
+            for lanes, start in walks]
     solved = [_counts_solve(instance, counts) for counts in ends]
     best = min(range(len(ends)), key=lambda i: solved[i][2])
     x = _counts_to_dense(instance, ends[best], solved[best][1])

@@ -106,8 +106,11 @@ def _counts_pricer(instance: Instance):
     """
     exponents, g1 = instance.exponents, instance.group_g1.tolist()
     b, p = instance.group_b.tolist(), instance.group_p.tolist()
-    # no fill sum exceeds the one over every copy, which vdot forms without a warning
-    bounded = np.vdot(instance.group_g1, instance.group_multiplicities) < math.inf
+    # no fill sum and no k c exceeds its sum over every copy, which vdot
+    # forms without a warning
+    mult = instance.group_multiplicities
+    bounded = (np.vdot(instance.group_g1, mult) < math.inf
+               and np.vdot(instance.group_fixed_costs, mult) < math.inf)
     tables = []
     for unit in FILL_UNITS[:1] if bounded else FILL_UNITS:
         rows = np.vstack((instance.exponent_fills * unit, instance.group_fixed_costs))
@@ -122,7 +125,7 @@ def _counts_pricer(instance: Instance):
         d, i, w = _zero_price_split(exponents, sums, unit)
         g = int((counts * fills[i]).argmax())
         return kc + b[g] * (g1[g] * unit / d[i]) ** p[g] * w
-    # a product in unit 1 that can overflow must do so quietly
+    # a product that can overflow must do so quietly
     return price if bounded else np.errstate(over="ignore")(price)
 
 

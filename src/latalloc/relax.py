@@ -143,7 +143,9 @@ def _level(kap, b, p, w):
     curve = b * (1.0 + p)
     scale = 1.0 / curve
     root = 1.0 / p
-    top = int(kap.searchsorted((kap + curve).min(), "right"))
+    with np.errstate(over="ignore"):
+        # a price near the float max reaches +inf, which bounds nothing
+        top = int(kap.searchsorted((kap + curve).min(), "right"))
     h, poured = _last_below(
         lambda m: float((w[:m] * ((kap[m] - kap[:m]) * scale[:m]) ** root[:m]).sum()),
         int(kap.searchsorted(0.0, "right")) - 1, top)
@@ -362,7 +364,8 @@ def _node_relaxation(instance: Instance, classes: NodeClasses, on_counts, off_co
                                   classes.exponents)
     loads = np.zeros(2 * on.size)
     loads[classes.order[live[:x.size]]] = x
-    return lam, loads.reshape(2, on.size), value + float(instance.group_fixed_costs @ on)
+    # vdot, unlike @, does not warn where the fees of the on copies overflow
+    return lam, loads.reshape(2, on.size), value + float(np.vdot(instance.group_fixed_costs, on))
 
 
 def continuous_relaxation_bound(instance: Instance, fixed_on=(), fixed_off=()) -> DualResult:

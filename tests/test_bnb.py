@@ -15,6 +15,7 @@ from latalloc import (
     continuous_relaxation_bound,
     generate_random,
     partition_reduction,
+    primal_heuristic,
     solve,
     solve_constant_latency,
 )
@@ -105,6 +106,16 @@ class TestSolve:
         alloc, stats = solve(make_instance([(0, 1, 4)]))
         assert alloc.active == frozenset(range(4))
         assert alloc.value == pytest.approx(0.25, abs=1e-12)
+
+    def test_fees_near_float_max_solve_quietly(self):
+        # c + b of the first group and the fees of its two copies pass the
+        # float range; the suite turns an overflow warning into an error
+        inst = make_instance([(1.7e308, 1e307, 2), (1, 2, 3), (5, 0.5, 2)])
+        alloc, stats = solve(inst)
+        assert (alloc.value, stats.status) == (3.0, "optimal")
+        assert primal_heuristic(inst).value == 3.0
+        assert continuous_relaxation_bound(inst).bound == pytest.approx(2.0 * 2.0 ** 0.5,
+                                                                        rel=1e-12)
 
     def test_branching_modes_agree_in_value(self):
         for inst in random_corpus(15, 2, 10, 6600):

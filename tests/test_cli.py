@@ -132,6 +132,16 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         assert "optimum:           1\n" in capsys.readouterr().out
 
+    def test_fees_near_float_max_file_solves(self, tmp_path, capsys):
+        # c + b of the first group and the fees of its two copies pass the
+        # float range; the suite turns an overflow warning into an error
+        path = tmp_path / "dear.txt"
+        path.write_text("latalloc 1\n3 1\n1.7e308 1e307 2\n1 2 3\n5 0.5 2\n")
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "optimum:           3\n" in out
+        assert "root bound:        2.82842712475\n" in out
+
     @pytest.mark.parametrize("body", [
         "latalloc 1\n1 50\n1 1e-300 10\n",
         "latalloc 1\n2 50\n1 1e-300 3\n2 1 1\n",

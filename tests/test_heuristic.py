@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from latalloc import generate_random, primal_heuristic, solve
+from latalloc import generate_base, generate_random, primal_heuristic, solve
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
 from latalloc import Allocation, continuous_relaxation_bound, partition_reduction
-from latalloc.heuristic import _dual_seed, _standalone_prefix_seed, _walk
+from latalloc.heuristic import _dual_seed, _lanes, _standalone_prefix_seed, _walk
 from latalloc.kkt import _counts_pricer, _counts_solve, _counts_to_dense
 
 from conftest import make_instance, random_corpus
@@ -17,10 +17,15 @@ def _relaxation_start(inst):
     return seed, _counts_pricer(inst)(seed)
 
 
+def _keyed_walk(inst, price, keys, start, accepted_values=None):
+    """``_walk`` with a lane pair built for each of ``keys``."""
+    return _walk(inst, price, [_lanes(key) for key in keys], start, accepted_values)
+
+
 def _plain_walk(inst, accepted_values=None):
     """Endpoint (counts, value) of the plain-key walk from the relaxation seed."""
-    return _walk(inst, _counts_pricer(inst), (inst.group_fixed_costs,), _relaxation_start(inst),
-                 accepted_values)
+    return _keyed_walk(inst, _counts_pricer(inst), (inst.group_fixed_costs,),
+                       _relaxation_start(inst), accepted_values)
 
 
 def _power_keys(inst):
@@ -38,7 +43,7 @@ def _walks(inst):
 
 def _walk_values(inst):
     """Endpoint values of the plain, power-from-relaxation and power-from-prefix walks."""
-    return [_walk(inst, _counts_pricer(inst), keys, start)[1] for keys, start in _walks(inst)]
+    return [_keyed_walk(inst, _counts_pricer(inst), keys, start)[1] for keys, start in _walks(inst)]
 
 
 def test_frozen_walk_trace(ladder3):
@@ -179,7 +184,7 @@ def _walk_trials(inst, keys, start):
         trials.append(counts.tolist())
         return price(counts)
 
-    _walk(inst, recording, keys, start)
+    _keyed_walk(inst, recording, keys, start)
     return trials
 
 
@@ -247,3 +252,71 @@ def test_heuristic_matches_reference_bit_for_bit():
         a, ref = primal_heuristic(inst), _reference_heuristic(inst)
         assert a.value == ref.value
         assert a.x.tobytes() == ref.x.tobytes()
+
+
+def _matrix_walk(inst, price, keys, start, accepted_values):
+    """``_walk`` ranking its moves by masking the whole k x n key matrix every round."""
+    mult = inst.group_multiplicities
+    signed = {step: step * np.stack(keys) for step in (-1, +1)}
+    counts, value = start
+    improved = True
+    while improved:
+        improved = False
+        for step in (-1, +1):
+            if step < 0 and counts.sum() <= 1:
+                continue
+            masked = np.where(counts > 0 if step < 0 else counts < mult, signed[step], np.inf)
+            ranked = {}
+            for rank, g in zip(masked.min(axis=1).tolist(), masked.argmin(axis=1).tolist()):
+                if rank < np.inf:
+                    ranked.setdefault(g, rank)
+            for g in sorted(ranked, key=ranked.get):
+                trial = counts.copy()
+                trial[g] += step
+                v = price(trial)
+                if v < value:
+                    counts, value, improved = trial, v, True
+                    accepted_values.append(value)
+                    break
+    return counts, value
+
+
+def _equivalence_cases():
+    """(id, instance, extra starts as counts) for the lane walk against ``_matrix_walk``."""
+    rng = np.random.Generator(np.random.PCG64(9400))
+    # c ties twice, c + b five ways, c + sqrt(b) twice
+    tied = make_instance([(4, 3, 2), (4, 1, 1), (2, 5, 2), (6, 1, 1), (5, 2, 1), (3, 4, 2)])
+    yield "tied-keys", tied, [np.array([2, 1, 0, 1, 1, 0])]
+    for s in range(8):
+        size = int(rng.integers(3, 9))
+        inst = Instance.from_groups([
+            ResourceGroup(float(rng.uniform(1, 100)), PowerLatency(float(rng.uniform(1, 100)), 1.0),
+                          int(rng.integers(1, 31)))
+            for _ in range(size)])
+        full = np.where(rng.random(size) < 0.5, inst.group_multiplicities, 0)
+        full[0] = inst.group_multiplicities[0]
+        yield f"full-multiplicity-{s}", inst, [full, inst.group_multiplicities]
+    for s, inst in enumerate(random_corpus(6, 4, 30, 9500)):
+        one = np.zeros(len(inst.groups), dtype=np.intp)
+        one[s % len(inst.groups)] = 1
+        yield f"one-copy-{s}", inst, [one]
+    mixed = [inst for inst in _multiplicity_instances(40, 9600) if len(inst.exponents) > 1]
+    for s, inst in enumerate(mixed):
+        yield f"mixed-exponents-{s}", inst, []
+    yield "ladder-220", generate_base(220), [np.ones(220, dtype=np.intp)]
+
+
+@pytest.mark.parametrize("inst, starts", [pytest.param(inst, starts, id=name)
+                                          for name, inst, starts in _equivalence_cases()])
+def test_lane_walk_matches_matrix_walk(inst, starts):
+    price = _counts_pricer(inst)
+    c, b = inst.group_fixed_costs, inst.group_b
+    starts = [_relaxation_start(inst), _standalone_prefix_seed(inst, price, c + b),
+              *[(counts, price(counts)) for counts in starts]]
+    for keys in ((c,), _power_keys(inst)):
+        for start in starts:
+            acc, ref_acc = [], []
+            counts, value = _keyed_walk(inst, price, keys, start, acc)
+            ref_counts, ref_value = _matrix_walk(inst, price, keys, start, ref_acc)
+            assert acc == ref_acc
+            assert (counts.tolist(), value) == (ref_counts.tolist(), ref_value)
