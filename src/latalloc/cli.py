@@ -145,6 +145,8 @@ def cmd_solve(args) -> int:
 
     name = str(args.path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
+        if instance.q > sys.maxsize:
+            raise MemoryError("more copies than an array index can address")
         report = checked_run(instance, name, "file", None if args.heuristic_only else options)
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)

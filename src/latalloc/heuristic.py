@@ -3,30 +3,29 @@
 The support of the root relaxation (free copies priced at their own fixed
 costs) is an excellent activation guess; greedy single-copy removals and
 additions from there land on a local optimum.  Which group a move proposes
-is key-driven: the plain key is the fixed cost c (drop the largest, add the
-smallest), while the power keys also weigh the stand-alone cost c + b and
-the mixed key c + b**(1/(p+1)).  The keys descend into opposite corners of
-the landscape - cheap-activation sets with shared load versus a few fast
-resources paid for up front - so three walks run: the plain key and the
-power keys from the relaxation seed, and the power keys from the best
-prefix of the stand-alone-cost order.  Trials are priced by
-``kkt._counts_pricer``, which forms no split; each endpoint is re-solved by
-``_counts_solve``, and the first cheapest by that value wins.
+is key-driven.  The plain walk removes the dearest fee c and adds the
+cheapest.  The power walks try to remove the dearest stand-alone cost
+c + b, then the dearest mixed key c + b**(1/(p+1)), then the dearest fee,
+and to add the cheapest fee, then the cheapest mixed key.  The keys descend
+into opposite corners of the landscape - cheap-activation sets with shared
+load versus a few fast resources paid for up front - so three walks run:
+the plain walk and a power walk from the relaxation seed, and a power walk
+from the best prefix of the stand-alone-cost order.  Trials are priced
+by ``kkt._counts_pricer``, which forms no split; each endpoint is re-solved
+by ``_counts_solve``, and the first cheapest by that value wins.
 
-Each key orders the groups once per run, by -key for removals and by +key
-for additions, ties in group order: a lane.  A walk keeps the position of
-each lane's first group that can move its way (a copy on to drop, a copy
-off to add), which is the lane's proposal.  An accepted move changes one
-group, so only that group can become movable, pulling a head back to it,
-or stop being movable, sending the head forward from where it was; a round
-is O(keys) Python work plus the pricing, not a pass over the k x n key
-matrix.  A trial changes the walk's float counts in place and is undone on
-rejection, so no counts array is copied or cast per trial.
+Each key orders the groups once per run, ties in group order: a lane.  A
+walk keeps the position of each lane's first group that can move its way
+(a copy on to drop, a copy off to add), which is the lane's proposal.  An
+accepted move changes one group, so only that group can become movable,
+pulling a head back to it, or stop being movable, sending the head forward
+from where it was; a round is O(lanes) Python work plus the pricing.  A
+trial changes the walk's float counts in place and is undone on rejection,
+so no counts array is copied or cast per trial.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -39,21 +38,16 @@ from .relax import ordering_algorithm
 class _Lane(NamedTuple):
     """One key's groups in the proposal order of one direction, built once per heuristic run."""
 
-    order: list   # groups ascending by step * key, ties in group order
-    rank: list    # step * key in that order
+    order: list   # groups ascending by the signed key, ties in group order
     place: list   # place[g]: the position of group g in ``order``
 
 
-def _lanes(key):
-    """The removal lane (ascending by -key) and the addition lane (by +key) of ``key``, by step."""
-    lanes = {}
-    for step in (-1, +1):
-        signed = step * key
-        order = np.argsort(signed, kind="stable")
-        place = np.empty_like(order)
-        place[order] = np.arange(order.size)
-        lanes[step] = _Lane(order.tolist(), signed[order].tolist(), place.tolist())
-    return lanes
+def _lane(signed_key):
+    """The lane of ``signed_key``: -key proposes the largest key, +key the smallest."""
+    order = np.argsort(signed_key, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return _Lane(order.tolist(), place.tolist())
 
 
 def _first_movable(lane, room, pos):
@@ -69,25 +63,22 @@ def _walk(instance, price, lanes, start, accepted_values=None):
 
     A round tries at most one removal (never emptying the active set), then
     at most one addition; a move is taken on strict improvement only, so the
-    walk terminates.  Each key proposes one group to move: the largest key
-    among groups with a copy on (removal) or the smallest among groups with
-    a copy off (addition), ties to the lowest group.  The first key to
-    propose a group keeps its value, and the proposals are tried by value,
-    ties in key order; a +inf addition key is never proposed.
+    walk terminates.  ``lanes[step]`` lists the lanes of one direction
+    (-1 removes, +1 adds) in the order their proposals are tried; each lane
+    proposes its first group with a copy to move, and a group proposed twice
+    is tried once.
 
-    ``lanes`` holds ``_lanes(key)`` per key.  The walk keeps, per lane, the
-    position of its first group with room to move, which is that lane's
-    proposal; an accepted move changes one group, so each head moves back
-    to it or scans forward from where it was.  A trial changes the float
-    counts in place and a rejected one is undone.  ``price`` values each
-    trial.  Returns the endpoint as (float counts, value).
+    The walk keeps, per lane, the position of that group; an accepted move
+    changes one group, so each head moves back to it or scans forward from
+    where it was.  A trial changes the float counts in place and a rejected
+    one is undone.  ``price`` values each trial.  Returns the endpoint as
+    (float counts, value).
     """
     counts, value = start
     counts = np.array(counts, dtype=float)
     held = counts.astype(np.intp)
     # room[step][g]: the copies of group g that a move by step can switch
     room = {-1: held.tolist(), +1: (instance.group_multiplicities - held).tolist()}
-    lanes = {step: [key_lanes[step] for key_lanes in lanes] for step in (-1, +1)}
     heads = {step: [_first_movable(lane, room[step], 0) for lane in lanes[step]]
              for step in (-1, +1)}
     on = sum(room[-1])
@@ -97,11 +88,9 @@ def _walk(instance, price, lanes, start, accepted_values=None):
         for step in (-1, +1):
             if step < 0 and on <= 1:
                 continue
-            ranked = {}
-            for lane, head in zip(lanes[step], heads[step]):
-                if head < len(lane.order) and lane.rank[head] < math.inf:
-                    ranked.setdefault(lane.order[head], lane.rank[head])
-            for g in sorted(ranked, key=ranked.get):
+            proposals = [lane.order[head] for lane, head in zip(lanes[step], heads[step])
+                         if head < len(lane.order)]
+            for g in dict.fromkeys(proposals):
                 counts[g] += step
                 v = price(counts)
                 if v < value:
@@ -152,24 +141,26 @@ def _standalone_prefix_seed(instance, price, standalone):
 def primal_heuristic(instance: Instance, accepted_values: list | None = None) -> Allocation:
     """Feasible allocation from three seeded walks of single-copy remove/add moves.
 
-    The walks are the plain key c from the relaxation seed, the power keys
-    (c + b, c + b**(1/(p+1)), c) from the relaxation seed, and the power
-    keys from the best stand-alone-cost prefix; the first endpoint cheapest
-    by ``_counts_solve`` is kept.  ``accepted_values``, if given, collects
-    the priced value after every accepted move, walk after walk.
+    The walks are the plain walk (remove the dearest fee c, add the
+    cheapest) from the relaxation seed, and the power walk (remove the
+    dearest c + b, c + b**(1/(p+1)), c in that order; add the cheapest c,
+    then c + b**(1/(p+1))) from the relaxation seed and from the best
+    stand-alone-cost prefix; the first endpoint cheapest by
+    ``_counts_solve`` is kept.  ``accepted_values``, if given, collects the
+    priced value after every accepted move, walk after walk.
     """
     c = instance.group_fixed_costs
     with np.errstate(over="ignore"):
-        # a stand-alone cost past the float range is +inf: removed first,
-        # never added
+        # a stand-alone cost past the float range is +inf: removed first
         standalone = c + instance.group_b
-        mixed = c + instance.group_b ** (1.0 / (instance.group_p + 1.0))
-    plain = _lanes(c)
-    power = (_lanes(standalone), _lanes(mixed), plain)
+    mixed = c + instance.group_b ** (1.0 / (instance.group_p + 1.0))
+    dearest, cheapest = _lane(-c), _lane(c)
+    plain = {-1: (dearest,), +1: (cheapest,)}
+    power = {-1: (_lane(-standalone), _lane(-mixed), dearest), +1: (cheapest, _lane(mixed))}
     price = _counts_pricer(instance)
     seed = _dual_seed(instance).astype(float)
     relaxation_start = (seed, price(seed))
-    walks = (((plain,), relaxation_start),
+    walks = ((plain, relaxation_start),
              (power, relaxation_start),
              (power, _standalone_prefix_seed(instance, price, standalone)))
     ends = [_walk(instance, price, lanes, start, accepted_values)[0].astype(np.intp)

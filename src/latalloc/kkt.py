@@ -93,7 +93,9 @@ def _counts_solve(instance: Instance, counts: np.ndarray):
     x_groups = np.zeros(len(instance.groups))
     x_groups[act] = x
     k, latency = k[act], instance.group_b[act] * x ** (1.0 + instance.group_p[act])
-    return lam, x_groups, float(k @ instance.group_fixed_costs[act] + k @ latency)
+    # vdot, and a sum of Python floats, overflow quietly
+    value = float(np.vdot(k, instance.group_fixed_costs[act])) + float(np.vdot(k, latency))
+    return lam, x_groups, value
 
 
 def _counts_pricer(instance: Instance):

@@ -1,6 +1,7 @@
 """Branch-and-bound driver: branching schemes, pruning, limits, statistics."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latalloc import (
     primal_heuristic,
     solve,
     solve_constant_latency,
+    solve_restricted,
 )
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
 
@@ -116,6 +118,13 @@ class TestSolve:
         assert primal_heuristic(inst).value == 3.0
         assert continuous_relaxation_bound(inst).bound == pytest.approx(2.0 * 2.0 ** 0.5,
                                                                         rel=1e-12)
+        # two copies of fee 1.7e308 price any split of them at +inf: the
+        # value's fee sum overflows
+        inst = make_instance([(1.7e308, 1, 1), (1.7e308, 2, 2)], exponent=2.0)
+        alloc, stats = solve(inst)
+        assert (alloc.value, stats.status) == (1.7e308, "optimal")
+        assert primal_heuristic(inst).value == 1.7e308
+        assert solve_restricted(inst, [0, 1]).value == math.inf
 
     def test_branching_modes_agree_in_value(self):
         for inst in random_corpus(15, 2, 10, 6600):

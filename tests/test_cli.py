@@ -133,14 +133,18 @@ class TestSolve:
         assert "optimum:           1\n" in capsys.readouterr().out
 
     def test_fees_near_float_max_file_solves(self, tmp_path, capsys):
-        # c + b of the first group and the fees of its two copies pass the
-        # float range; the suite turns an overflow warning into an error
+        # in the first file c + b of the first group and the fees of its two
+        # copies pass the float range, in the second the fees of any split;
+        # the suite turns an overflow warning into an error
         path = tmp_path / "dear.txt"
-        path.write_text("latalloc 1\n3 1\n1.7e308 1e307 2\n1 2 3\n5 0.5 2\n")
-        assert main(["solve", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "optimum:           3\n" in out
-        assert "root bound:        2.82842712475\n" in out
+        for body, optimum, root in (
+                ("latalloc 1\n3 1\n1.7e308 1e307 2\n1 2 3\n5 0.5 2\n", "3", "2.82842712475"),
+                ("latalloc 1\n2 2\n1.7e308 1 1\n1.7e308 2 2\n", "1.7e+308", "1.7e+308")):
+            path.write_text(body)
+            assert main(["solve", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert f"optimum:           {optimum}\n" in out
+            assert f"root bound:        {root}\n" in out
 
     @pytest.mark.parametrize("body", [
         "latalloc 1\n1 50\n1 1e-300 10\n",
@@ -175,12 +179,13 @@ class TestSolve:
         assert "line 3: invalid resource" in err and "p <= 1e+06" in err
 
     def test_huge_multiplicity_is_input_error(self, tmp_path, capsys):
-        # 10**15 copies: the per-copy arrays cannot be allocated, and the
-        # request fails at once
+        # 10**15 copies: the per-copy arrays cannot be allocated; 10**20: no
+        # array index reaches them.  Either request fails at once
         path = tmp_path / "huge.txt"
-        path.write_text(f"latalloc 1\n1 1\n1 1 {10 ** 15}\n")
-        assert main(["solve", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("error: instance too large")
+        for multiplicity in (10 ** 15, 10 ** 20):
+            path.write_text(f"latalloc 1\n1 1\n1 1 {multiplicity}\n")
+            assert main(["solve", str(path)]) == 3
+            assert capsys.readouterr().err.startswith("error: instance too large")
 
     @pytest.mark.parametrize("flags", [
         ["--time-limit", "nan"], ["--time-limit", "-1"],

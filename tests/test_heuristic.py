@@ -6,7 +6,7 @@ import pytest
 from latalloc import generate_base, generate_random, primal_heuristic, solve
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
 from latalloc import Allocation, continuous_relaxation_bound, partition_reduction
-from latalloc.heuristic import _dual_seed, _lanes, _standalone_prefix_seed, _walk
+from latalloc.heuristic import _dual_seed, _lane, _standalone_prefix_seed, _walk
 from latalloc.kkt import _counts_pricer, _counts_solve, _counts_to_dense
 
 from conftest import make_instance, random_corpus
@@ -18,25 +18,34 @@ def _relaxation_start(inst):
 
 
 def _keyed_walk(inst, price, keys, start, accepted_values=None):
-    """``_walk`` with a lane pair built for each of ``keys``."""
-    return _walk(inst, price, [_lanes(key) for key in keys], start, accepted_values)
+    """``_walk`` with a lane for each of ``keys`` = (removal keys, addition keys)."""
+    removals, additions = keys
+    lanes = {-1: [_lane(-key) for key in removals], +1: [_lane(key) for key in additions]}
+    return _walk(inst, price, lanes, start, accepted_values)
 
 
-def _plain_walk(inst, accepted_values=None):
-    """Endpoint (counts, value) of the plain-key walk from the relaxation seed."""
-    return _keyed_walk(inst, _counts_pricer(inst), (inst.group_fixed_costs,),
-                       _relaxation_start(inst), accepted_values)
+def _plain_keys(inst):
+    c = inst.group_fixed_costs
+    return (c,), (c,)
 
 
 def _power_keys(inst):
     c, b, p = inst.group_fixed_costs, inst.group_b, inst.group_p
-    return c + b, c + b ** (1.0 / (p + 1.0)), c
+    mixed = c + b ** (1.0 / (p + 1.0))
+    with np.errstate(over="ignore"):
+        return (c + b, mixed, c), (c, mixed)
+
+
+def _plain_walk(inst, accepted_values=None):
+    """Endpoint (counts, value) of the plain-key walk from the relaxation seed."""
+    return _keyed_walk(inst, _counts_pricer(inst), _plain_keys(inst),
+                       _relaxation_start(inst), accepted_values)
 
 
 def _walks(inst):
     """(keys, start) of the plain, power-from-relaxation and power-from-prefix walks."""
     c, b = inst.group_fixed_costs, inst.group_b
-    return [((c,), _relaxation_start(inst)),
+    return [(_plain_keys(inst), _relaxation_start(inst)),
             (_power_keys(inst), _relaxation_start(inst)),
             (_power_keys(inst), _standalone_prefix_seed(inst, _counts_pricer(inst), c + b))]
 
@@ -126,53 +135,65 @@ def test_each_walk_is_needed(q, seed, optimum, walk):
     assert reached == [w == walk for w in range(3)]
 
 
+def test_mixed_addition_key_is_needed():
+    # here only the power walk from the relaxation seed reaches the
+    # heuristic's value, and only by an addition that the mixed key
+    # c + b**(1/(p+1)) proposes; without that key it stops at 25.74
+    inst = generate_random(30, seed=3125)
+    price, start = _counts_pricer(inst), _relaxation_start(inst)
+    removals, additions = _power_keys(inst)
+    value = _keyed_walk(inst, price, (removals, additions), start)[1]
+    assert value == pytest.approx(23.410554561717, rel=1e-12)
+    assert primal_heuristic(inst).value == pytest.approx(value, rel=1e-12)
+    assert min(v for w, v in enumerate(_walk_values(inst)) if w != 1) > value + 1.0
+    assert _keyed_walk(inst, price, (removals, additions[:1]), start)[1] > value + 2.0
+
+
 def test_constant_family_rejected():
     inst = Instance.from_groups([ResourceGroup(1.0, ConstantLatency(2.0))])
     with pytest.raises(ValueError):
         primal_heuristic(inst)
 
 
-def _reference_walk(inst, keys, start):
-    """A walk whose moves are ranked key by key and priced by ``_counts_solve``.
+def _reference_walk(inst, keys, start, price=None):
+    """A walk that masks and argmins every key every round.
 
-    Each key proposes one group: the largest key among groups with a copy on
-    (removal), the smallest among groups with a copy off (addition).  The
-    first key to propose a group keeps its value, then a stable sort by
-    value puts ties in key order.  Returns the trial counts in order and the
-    endpoint as (counts, value, x_groups).
+    ``keys`` = (removal keys, addition keys), each in proposal order.  Each
+    key proposes one group: the largest key among groups with a copy on
+    (removal), the smallest among groups with a copy off (addition), ties to
+    the lowest group; a group proposed twice is tried once.  ``price``
+    values each trial, by default ``_counts_solve``.  Returns the trial
+    counts in order, the accepted values and the endpoint (counts, value).
     """
+    if price is None:
+        def price(counts):
+            return _counts_solve(inst, counts)[2]
     mult = inst.group_multiplicities
     counts, value = start
-    x_groups = _counts_solve(inst, counts)[1]
-    trials = []
+    trials, accepted = [], []
     improved = True
     while improved:
         improved = False
-        for step in (-1, +1):
+        for step, step_keys in zip((-1, +1), keys):
             if step < 0 and counts.sum() <= 1:
                 continue
-            movable = counts > 0 if step < 0 else counts < mult
+            movable = np.flatnonzero(counts > 0 if step < 0 else counts < mult)
             proposals = []
-            for key in keys:
-                masked = np.where(movable, step * key, np.inf)
-                g = int(np.argmin(masked))
-                if np.isfinite(masked[g]) and g not in [gg for _, gg in proposals]:
-                    proposals.append((masked[g], g))
-            proposals.sort(key=lambda t: t[0])
-            for _, g in proposals:
+            for key in step_keys:
+                if movable.size:
+                    g = int(movable[np.argmin(step * key[movable])])
+                    if g not in proposals:
+                        proposals.append(g)
+            for g in proposals:
                 trial = counts.copy()
                 trial[g] += step
                 trials.append(trial.tolist())
-                _, xg, v = _counts_solve(inst, trial)
+                v = price(trial)
                 if v < value:
-                    counts, value, x_groups, improved = trial, v, xg, True
+                    counts, value, improved = trial, v, True
+                    accepted.append(value)
                     break
-    return trials, (counts, value, x_groups)
-
-
-def _reference_trials(inst, keys, start):
-    """Trial counts, in order, of the reference walk."""
-    return _reference_walk(inst, keys, start)[0]
+    return trials, accepted, (counts, value)
 
 
 def _walk_trials(inst, keys, start):
@@ -202,12 +223,13 @@ def _reference_heuristic(inst):
     seed = _dual_seed(inst)
     relaxation_start = (seed, _counts_solve(inst, seed)[2])
     best = None
-    for keys, start in (((c,), relaxation_start), (_power_keys(inst), relaxation_start),
-                        (_power_keys(inst), prefix)):
-        end = _reference_walk(inst, keys, start)[1]
+    for keys, start in ((_plain_keys(inst), relaxation_start),
+                        (_power_keys(inst), relaxation_start), (_power_keys(inst), prefix)):
+        end = _reference_walk(inst, keys, start)[2]
         if best is None or end[1] < best[1]:
             best = end
-    counts, _, x_groups = best
+    counts = best[0]
+    x_groups = _counts_solve(inst, counts)[1]
     return Allocation.from_fractions(inst, _counts_to_dense(inst, counts, x_groups))
 
 
@@ -227,20 +249,35 @@ def _multiplicity_instances(n, seed):
 def test_walk_tries_moves_in_reference_order():
     for inst in _multiplicity_instances(200, 9100):
         for keys, start in _walks(inst):
-            assert _walk_trials(inst, keys, start) == _reference_trials(inst, keys, start)
+            assert _walk_trials(inst, keys, start) == _reference_walk(inst, keys, start)[0]
 
 
-def test_first_proposing_key_sets_the_rank():
-    # adding from (1, 0): c + b proposes B at 2.95, c + sqrt(b) proposes A at
-    # 3 and c proposes A again at 1.  A keeps the value 3 of its first key,
-    # so B is tried first; ranking all three values before dropping the
-    # repeat would try A first, at 1
-    inst = make_instance([(1.0, 4.0, 2), (2.7, 0.25, 1)])
-    counts = np.array([1, 0])
-    start = counts, _counts_solve(inst, counts)[2]
-    trials = _walk_trials(inst, _power_keys(inst), start)
-    assert trials[0] == [1, 1]
-    assert trials == _reference_trials(inst, _power_keys(inst), start)
+def test_proposals_are_tried_in_key_order_once():
+    # from (1, 1), c + b proposes the second group (1.31 > 1.25) and the
+    # mixed key the first (1.5 > 1.4): c + b is tried first, whatever the
+    # values; ranking them by value would try the first group
+    inst = make_instance([(1.0, 0.25), (1.3, 0.01)])
+    counts = np.array([1, 1])
+    start = counts, _counts_pricer(inst)(counts)
+    assert _walk_trials(inst, _power_keys(inst), start)[0] == [1, 0]
+    # A's stand-alone cost c + b passes the float range, and A is the
+    # dearest under every removal key: it is removed first and tried once,
+    # and no addition proposes it while B (the cheapest under both addition
+    # keys) has a copy off.  From (0, 2, 0) every key proposes B; the
+    # removal ties the value, so it is rejected, and the next trial is the
+    # addition, not B's removal again
+    inst = make_instance([(1.7e308, 1e307, 2), (1, 2, 3), (5, 0.5, 2)])
+    price = _counts_pricer(inst)
+    keys = _power_keys(inst)
+    assert keys[0][0][0] == np.inf
+    counts = np.array([2, 1, 2])
+    trials = _walk_trials(inst, keys, (counts, price(counts)))
+    assert trials[0] == [1, 1, 2]
+    assert [t[0] for t in trials] == [1, 1] + [0] * (len(trials) - 2)
+    assert trials == _reference_walk(inst, keys, (counts, price(counts)))[0]
+    counts = np.array([0, 2, 0])
+    assert price(counts) == price(np.array([0, 1, 0])) == 3.0
+    assert _walk_trials(inst, keys, (counts, price(counts))) == [[0, 1, 0], [0, 3, 0]]
 
 
 def test_heuristic_matches_reference_bit_for_bit():
@@ -254,35 +291,8 @@ def test_heuristic_matches_reference_bit_for_bit():
         assert a.x.tobytes() == ref.x.tobytes()
 
 
-def _matrix_walk(inst, price, keys, start, accepted_values):
-    """``_walk`` ranking its moves by masking the whole k x n key matrix every round."""
-    mult = inst.group_multiplicities
-    signed = {step: step * np.stack(keys) for step in (-1, +1)}
-    counts, value = start
-    improved = True
-    while improved:
-        improved = False
-        for step in (-1, +1):
-            if step < 0 and counts.sum() <= 1:
-                continue
-            masked = np.where(counts > 0 if step < 0 else counts < mult, signed[step], np.inf)
-            ranked = {}
-            for rank, g in zip(masked.min(axis=1).tolist(), masked.argmin(axis=1).tolist()):
-                if rank < np.inf:
-                    ranked.setdefault(g, rank)
-            for g in sorted(ranked, key=ranked.get):
-                trial = counts.copy()
-                trial[g] += step
-                v = price(trial)
-                if v < value:
-                    counts, value, improved = trial, v, True
-                    accepted_values.append(value)
-                    break
-    return counts, value
-
-
 def _equivalence_cases():
-    """(id, instance, extra starts as counts) for the lane walk against ``_matrix_walk``."""
+    """(id, instance, extra starts as counts) for the lane walk against ``_reference_walk``."""
     rng = np.random.Generator(np.random.PCG64(9400))
     # c ties twice, c + b five ways, c + sqrt(b) twice
     tied = make_instance([(4, 3, 2), (4, 1, 1), (2, 5, 2), (6, 1, 1), (5, 2, 1), (3, 4, 2)])
@@ -313,10 +323,10 @@ def test_lane_walk_matches_matrix_walk(inst, starts):
     c, b = inst.group_fixed_costs, inst.group_b
     starts = [_relaxation_start(inst), _standalone_prefix_seed(inst, price, c + b),
               *[(counts, price(counts)) for counts in starts]]
-    for keys in ((c,), _power_keys(inst)):
+    for keys in (_plain_keys(inst), _power_keys(inst)):
         for start in starts:
-            acc, ref_acc = [], []
+            acc = []
             counts, value = _keyed_walk(inst, price, keys, start, acc)
-            ref_counts, ref_value = _matrix_walk(inst, price, keys, start, ref_acc)
+            _, ref_acc, (ref_counts, ref_value) = _reference_walk(inst, keys, start, price)
             assert acc == ref_acc
             assert (counts.tolist(), value) == (ref_counts.tolist(), ref_value)
