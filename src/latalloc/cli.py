@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 from .bnb import SolveOptions, SolveStats, solve
 from .heuristic import primal_heuristic
@@ -132,7 +133,7 @@ def checked_run(instance: Instance, name: str, klass: str,
 def cmd_solve(args) -> int:
     try:
         instance = read_instance(args.path)
-        # a malformed file and a bad limit both raise ValueError
+        # a malformed file, too many copies and a bad limit all raise ValueError
         options = SolveOptions(
             branching="binary" if args.binary_branching else "nary",
             node_limit=args.node_limit,
@@ -145,8 +146,6 @@ def cmd_solve(args) -> int:
 
     name = str(args.path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
-        if instance.q > sys.maxsize:
-            raise MemoryError("more copies than an array index can address")
         report = checked_run(instance, name, "file", None if args.heuristic_only else options)
     except InvariantError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -334,6 +333,7 @@ def cmd_bench(args) -> int:
     return EXIT_LIMIT if interrupted else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="latalloc",
                      description="Split one unit of demand across congestible resources "
@@ -371,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -4,15 +4,15 @@ The support of the root relaxation (free copies priced at their own fixed
 costs) is an excellent activation guess; greedy single-copy removals and
 additions from there land on a local optimum.  Which group a move proposes
 is key-driven.  The plain walk removes the dearest fee c and adds the
-cheapest.  The power walks try to remove the dearest stand-alone cost
+cheapest.  The power walk tries to remove the dearest stand-alone cost
 c + b, then the dearest mixed key c + b**(1/(p+1)), then the dearest fee,
 and to add the cheapest fee, then the cheapest mixed key.  The keys descend
 into opposite corners of the landscape - cheap-activation sets with shared
-load versus a few fast resources paid for up front - so three walks run:
-the plain walk and a power walk from the relaxation seed, and a power walk
-from the best prefix of the stand-alone-cost order.  Trials are priced
-by ``kkt._counts_pricer``, which forms no split; each endpoint is re-solved
-by ``_counts_solve``, and the first cheapest by that value wins.
+load versus a few fast resources paid for up front - so both walks run from
+the relaxation seed, and the best prefix of the stand-alone-cost order is a
+third endpoint as it is.  Trials are priced by ``kkt._counts_pricer``,
+which forms no split; each endpoint is re-solved by ``_counts_solve``, and
+the first cheapest by that value wins.
 
 Each key orders the groups once per run, ties in group order: a lane.  A
 walk keeps the position of each lane's first group that can move its way
@@ -32,7 +32,7 @@ import numpy as np
 
 from .kkt import _counts_pricer, _counts_solve, _counts_to_dense
 from .model import Allocation, Instance
-from .relax import ordering_algorithm
+from .relax import _solve_classes
 
 
 class _Lane(NamedTuple):
@@ -113,19 +113,18 @@ def _walk(instance, price, lanes, start, accepted_values=None):
 
 
 def _dual_seed(instance):
-    """Activation counts of the root relaxation support."""
-    root = ordering_algorithm(instance, instance.copy_fixed_cost)
-    support = np.asarray(sorted(root.support), dtype=np.intp)
-    return np.bincount(instance.copy_group[support], minlength=len(instance.groups))
+    """Root relaxation support over group classes as counts: every copy of a loaded group is on."""
+    mult = instance.group_multiplicities
+    order = np.argsort(instance.group_fixed_costs, kind="stable")
+    x = _solve_classes(instance.group_fixed_costs[order], instance.group_b[order],
+                       instance.group_p[order], mult[order])[1]
+    on = np.zeros(mult.size, dtype=bool)
+    on[order[:x.size]] = x > 0.0
+    return np.where(on, mult, 0)
 
 
 def _standalone_prefix_seed(instance, price, standalone):
-    """Best (counts, value) over prefixes of the stand-alone-cost order.
-
-    Copies are switched on one at a time, cheapest stand-alone cost
-    c + f(1) first; the prefix with the lowest ``price`` seeds a walk
-    toward solutions built on a few strong resources.
-    """
+    """Best (counts, value) over prefixes of the stand-alone-cost order, switched on copy by copy."""
     order = np.argsort(standalone, kind="stable")
     counts = np.zeros(len(instance.groups))
     best = None
@@ -139,15 +138,14 @@ def _standalone_prefix_seed(instance, price, standalone):
 
 
 def primal_heuristic(instance: Instance, accepted_values: list | None = None) -> Allocation:
-    """Feasible allocation from three seeded walks of single-copy remove/add moves.
+    """Feasible allocation from two walks of single-copy remove/add moves and a prefix.
 
-    The walks are the plain walk (remove the dearest fee c, add the
-    cheapest) from the relaxation seed, and the power walk (remove the
-    dearest c + b, c + b**(1/(p+1)), c in that order; add the cheapest c,
-    then c + b**(1/(p+1))) from the relaxation seed and from the best
-    stand-alone-cost prefix; the first endpoint cheapest by
-    ``_counts_solve`` is kept.  ``accepted_values``, if given, collects the
-    priced value after every accepted move, walk after walk.
+    The plain walk (remove the dearest fee c, add the cheapest) and the power
+    walk (remove the dearest c + b, c + b**(1/(p+1)), c in that order; add
+    the cheapest c, then c + b**(1/(p+1))) start from the relaxation seed,
+    and the best stand-alone-cost prefix is the third endpoint; the first
+    cheapest by ``_counts_solve``, in that order, is kept.  ``accepted_values``,
+    if given, collects the priced value after every accepted move, walk after walk.
     """
     c = instance.group_fixed_costs
     with np.errstate(over="ignore"):
@@ -160,11 +158,10 @@ def primal_heuristic(instance: Instance, accepted_values: list | None = None) ->
     price = _counts_pricer(instance)
     seed = _dual_seed(instance).astype(float)
     relaxation_start = (seed, price(seed))
-    walks = ((plain, relaxation_start),
-             (power, relaxation_start),
-             (power, _standalone_prefix_seed(instance, price, standalone)))
-    ends = [_walk(instance, price, lanes, start, accepted_values)[0].astype(np.intp)
-            for lanes, start in walks]
+    walked = [_walk(instance, price, lanes, relaxation_start, accepted_values)[0]
+              for lanes in (plain, power)]
+    prefix = _standalone_prefix_seed(instance, price, standalone)[0]
+    ends = [counts.astype(np.intp) for counts in (*walked, prefix)]
     solved = [_counts_solve(instance, counts) for counts in ends]
     best = min(range(len(ends)), key=lambda i: solved[i][2])
     x = _counts_to_dense(instance, ends[best], solved[best][1])

@@ -12,6 +12,7 @@ latency families expose it directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,6 +149,9 @@ class Instance:
                     "duplicate resource type; build instances via Instance.from_groups"
                 )
             seen.add(key)
+        if self.q > sys.maxsize:
+            raise ValueError(f"instance too large (q={self.q}): "
+                             "more copies than an array index can address")
 
     @classmethod
     def from_groups(cls, groups) -> "Instance":

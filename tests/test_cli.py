@@ -187,6 +187,15 @@ class TestSolve:
             assert main(["solve", str(path)]) == 3
             assert capsys.readouterr().err.startswith("error: instance too large")
 
+    def test_parser_is_built_once(self, ladder_file, capsys):
+        assert latalloc.cli.build_parser() is latalloc.cli.build_parser()
+        rows = []
+        for _ in range(2):
+            assert main(["solve", ladder_file, "--format", "csv"]) == 0
+            header, row = _csv_rows(capsys.readouterr().out)
+            rows.append([v for k, v in zip(header, row) if k != "wall_ms"])
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("flags", [
         ["--time-limit", "nan"], ["--time-limit", "-1"],
         ["--node-limit", "-5"], ["--node-limit", "0"],

@@ -1,11 +1,12 @@
-"""Primal heuristic: the three seeded walks and their improvement traces."""
+"""Primal heuristic: the two walks from the relaxation seed, the prefix seed and their traces."""
 
 import numpy as np
 import pytest
 
 from latalloc import generate_base, generate_random, primal_heuristic, solve
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
-from latalloc import Allocation, continuous_relaxation_bound, partition_reduction
+from latalloc import (Allocation, continuous_relaxation_bound, ordering_algorithm,
+                      partition_reduction)
 from latalloc.heuristic import _dual_seed, _lane, _standalone_prefix_seed, _walk
 from latalloc.kkt import _counts_pricer, _counts_solve, _counts_to_dense
 
@@ -43,16 +44,16 @@ def _plain_walk(inst, accepted_values=None):
 
 
 def _walks(inst):
-    """(keys, start) of the plain, power-from-relaxation and power-from-prefix walks."""
-    c, b = inst.group_fixed_costs, inst.group_b
+    """(keys, start) of the plain and the power walk, both from the relaxation seed."""
     return [(_plain_keys(inst), _relaxation_start(inst)),
-            (_power_keys(inst), _relaxation_start(inst)),
-            (_power_keys(inst), _standalone_prefix_seed(inst, _counts_pricer(inst), c + b))]
+            (_power_keys(inst), _relaxation_start(inst))]
 
 
 def _walk_values(inst):
-    """Endpoint values of the plain, power-from-relaxation and power-from-prefix walks."""
-    return [_keyed_walk(inst, _counts_pricer(inst), keys, start)[1] for keys, start in _walks(inst)]
+    """Endpoint values of the plain and the power walk, then the prefix seed's value."""
+    price = _counts_pricer(inst)
+    prefix = _standalone_prefix_seed(inst, price, inst.group_fixed_costs + inst.group_b)
+    return [*(_keyed_walk(inst, price, keys, start)[1] for keys, start in _walks(inst)), prefix[1]]
 
 
 def test_frozen_walk_trace(ladder3):
@@ -63,8 +64,8 @@ def test_frozen_walk_trace(ladder3):
     assert acc == pytest.approx([4.2, 4.0], abs=1e-12)
     assert value == pytest.approx(4.0, abs=1e-12)
     assert list(counts) == [0, 0, 1]
-    # the full heuristic collects walk after walk; the prefix walk starts at
-    # the optimum and makes no move
+    # the full heuristic collects walk after walk, and both walks start at
+    # the seed; the prefix is the optimum, taken as it is
     acc = []
     a = primal_heuristic(ladder3, accepted_values=acc)
     assert acc == pytest.approx([4.2, 4.0, 4.2, 4.0], abs=1e-12)
@@ -122,11 +123,11 @@ def test_power_walks_reach_singleton_optimum():
 @pytest.mark.parametrize("q, seed, optimum, walk", [
     pytest.param(3, 2023, 54.0, 0, id="plain"),
     pytest.param(9, 2095, 78.5, 1, id="power-from-relaxation"),
-    pytest.param(6, 2026, 104.0, 2, id="power-from-prefix"),
+    pytest.param(6, 2026, 104.0, 2, id="prefix"),
 ])
 def test_each_walk_is_needed(q, seed, optimum, walk):
-    # on each instance exactly one walk reaches the optimum, so dropping that
-    # walk would change the heuristic's answer
+    # on each instance exactly one walk, or the prefix seed, reaches the
+    # optimum, so dropping it would change the heuristic's answer
     inst = generate_random(q, seed=seed)
     alloc, _ = solve(inst)
     assert alloc.value == pytest.approx(optimum, rel=1e-12)
@@ -209,8 +210,14 @@ def _walk_trials(inst, keys, start):
     return trials
 
 
+def _copy_seed(inst):
+    """Counts of the root relaxation support, solved one class per copy by ``ordering_algorithm``."""
+    support = sorted(ordering_algorithm(inst, inst.copy_fixed_cost).support)
+    return np.bincount(inst.copy_group[support], minlength=len(inst.groups))
+
+
 def _reference_heuristic(inst):
-    """``primal_heuristic`` with every trial priced by ``_counts_solve``."""
+    """``primal_heuristic`` with every trial priced by ``_counts_solve``, seeded per copy."""
     c, b = inst.group_fixed_costs, inst.group_b
     counts = np.zeros(len(inst.groups), dtype=np.intp)
     prefix = None
@@ -220,15 +227,11 @@ def _reference_heuristic(inst):
             v = _counts_solve(inst, counts)[2]
             if prefix is None or v < prefix[1]:
                 prefix = (counts.copy(), v)
-    seed = _dual_seed(inst)
+    seed = _copy_seed(inst)
     relaxation_start = (seed, _counts_solve(inst, seed)[2])
-    best = None
-    for keys, start in ((_plain_keys(inst), relaxation_start),
-                        (_power_keys(inst), relaxation_start), (_power_keys(inst), prefix)):
-        end = _reference_walk(inst, keys, start)[2]
-        if best is None or end[1] < best[1]:
-            best = end
-    counts = best[0]
+    ends = [_reference_walk(inst, keys, relaxation_start)[2]
+            for keys in (_plain_keys(inst), _power_keys(inst))]
+    counts = min([*ends, prefix], key=lambda end: end[1])[0]
     x_groups = _counts_solve(inst, counts)[1]
     return Allocation.from_fractions(inst, _counts_to_dense(inst, counts, x_groups))
 
@@ -280,12 +283,29 @@ def test_proposals_are_tried_in_key_order_once():
     assert _walk_trials(inst, keys, (counts, price(counts))) == [[0, 1, 0], [0, 3, 0]]
 
 
+def test_class_seed_matches_per_copy_support():
+    rng = np.random.Generator(np.random.PCG64(9700))
+    embeddings = [partition_reduction(rng.integers(1, 20, int(rng.integers(3, 8))).tolist())
+                  for _ in range(50)]
+    zero_fees = [make_instance([(0, b, m) for b, m in zip(rng.uniform(1, 100, size),
+                                                           rng.integers(1, 6, size))])
+                 for size in rng.integers(1, 6, 30)]
+    mixed_fees = make_instance([(0, 3, 2), (0, 1, 4), (2, 0.5, 3), (2, 0.2, 1)])
+    big = make_instance([(1, 2, 3000), (40, 1, 2), (0.5, 90, 3)])
+    for inst in [*random_corpus(60, 2, 40, 9800), *random_corpus(20, 3, 30, 9900, exponent=2.0),
+                 *_multiplicity_instances(100, 9950), *embeddings, *zero_fees, mixed_fees, big]:
+        assert _dual_seed(inst).tolist() == _copy_seed(inst).tolist()
+
+
 def test_heuristic_matches_reference_bit_for_bit():
     # ties between walk endpoints decide the winner on partition embeddings
     rng = np.random.Generator(np.random.PCG64(9300))
     embeddings = [partition_reduction(rng.integers(1, 20, int(rng.integers(3, 8))).tolist())
                   for _ in range(50)]
-    for inst in [*_multiplicity_instances(150, 9200), *embeddings]:
+    # the prefix is taken as it is: a power walk from it would reach the
+    # optimum 46.1449 on the last instance, where the heuristic stops at 47
+    prefix_walk_loss = generate_random(43, seed=7215, multiplicity_range=(1, 30), exponent=2.0)
+    for inst in [*_multiplicity_instances(150, 9200), *embeddings, prefix_walk_loss]:
         a, ref = primal_heuristic(inst), _reference_heuristic(inst)
         assert a.value == ref.value
         assert a.x.tobytes() == ref.x.tobytes()

@@ -171,6 +171,15 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance.from_groups([])
 
+    def test_more_copies_than_an_index_addresses_rejected(self):
+        # numpy would fail later on the per-copy arrays ("Maximum allowed
+        # dimension exceeded"); two groups can pass the limit together
+        for mults in ([10 ** 20], [2 ** 62, 2 ** 62]):
+            with pytest.raises(ValueError, match=r"^instance too large \(q=\d+\): more copies"):
+                Instance.from_groups([ResourceGroup(float(c), PowerLatency(1.0), m)
+                                      for c, m in enumerate(mults)])
+        assert Instance.from_groups([ResourceGroup(1.0, PowerLatency(1.0), 10 ** 15)]).q == 10 ** 15
+
 
 class TestAllocation:
     def test_from_fractions_value(self, ladder3):
