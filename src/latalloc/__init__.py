@@ -2,9 +2,9 @@
 
 Each resource charges a fixed activation cost plus a load-dependent latency
 cost; the package provides the exact branch-and-bound solver, the
-ordering-based relaxation bound, the dual-seeded primal heuristic, instance
-generators (including a subset-sum reduction showing the problem is
-NP-hard), independent oracles, and a small CLI.
+ordering-based relaxation bound, a primal heuristic seeded by the search's
+root relaxation, instance generators (including a subset-sum reduction
+showing the problem is NP-hard), independent oracles, and a small CLI.
 """
 
 from .bnb import BnbNode, SolveOptions, SolveStats, branch_children, solve

@@ -117,10 +117,6 @@ def branch_children(node: BnbNode, instance: Instance, branching: str = "nary"):
     return children
 
 
-def _prune_gap(incumbent):
-    return PRUNE_RTOL * max(1.0, abs(incumbent))
-
-
 def solve(instance: Instance, options: SolveOptions | None = None):
     """Exact minimizer of the activation-plus-latency cost.  Returns (Allocation, SolveStats).
 
@@ -146,6 +142,7 @@ def solve(instance: Instance, options: SolveOptions | None = None):
 
     heur = primal_heuristic(instance)
     inc_value = heur.value
+    cutoff = inc_value - PRUNE_RTOL * max(1.0, abs(inc_value))
     inc_x = np.asarray(heur.x, dtype=float).copy()
     stats = SolveStats(incumbent_updates=1)
     trace = options.trace
@@ -164,7 +161,7 @@ def solve(instance: Instance, options: SolveOptions | None = None):
             stats.status = "time_limit"
             break
         node = stack.pop()
-        if node.lower_bound >= inc_value - _prune_gap(inc_value):
+        if node.lower_bound >= cutoff:
             continue  # pruned on the inherited bound, no evaluation needed
         if not (node.off_counts < mult).any():
             continue  # every copy fixed off: infeasible subproblem
@@ -173,7 +170,7 @@ def solve(instance: Instance, options: SolveOptions | None = None):
         stats.bound_evals += 1
         if trace is not None:
             trace.write(f"depth={node.depth} bound={bound:.12g} incumbent={inc_value:.12g}\n")
-        if bound >= inc_value - _prune_gap(inc_value):
+        if bound >= cutoff:
             continue
         x_free = loads[1]
         if not ((x_free > zero_below) & (x_free < at_t)).any():
@@ -185,6 +182,7 @@ def solve(instance: Instance, options: SolveOptions | None = None):
             _, x_groups, exact = _counts_solve(instance, counts)
             if exact < inc_value:
                 inc_value = exact
+                cutoff = inc_value - PRUNE_RTOL * max(1.0, abs(inc_value))
                 inc_x = _counts_to_dense(instance, counts, x_groups)
                 stats.incumbent_updates += 1
             continue

@@ -139,6 +139,21 @@ def _counts_to_dense(instance: Instance, counts, x_groups) -> np.ndarray:
     return x
 
 
+def _copy_mask(instance: Instance, indices):
+    """Mask of the copies in ``indices``; raises ValueError on an index out of range."""
+    try:
+        idx = (np.asarray(indices, dtype=np.intp) if isinstance(indices, np.ndarray)
+               else np.fromiter(indices, dtype=np.intp))
+    except OverflowError:
+        raise ValueError(f"copy index too large, out of range [0, {instance.q})") from None
+    if idx.size and not 0 <= idx.min() <= idx.max() < instance.q:
+        bad = idx[(idx < 0) | (idx >= instance.q)][0]
+        raise ValueError(f"copy index {bad} out of range [0, {instance.q})")
+    mask = np.zeros(instance.q, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def solve_restricted(instance: Instance, active_copies) -> RestrictedResult:
     """Optimal demand split given that exactly ``active_copies`` are switched on.
 
@@ -146,15 +161,10 @@ def solve_restricted(instance: Instance, active_copies) -> RestrictedResult:
     returned fractions are dense over all q copies, positive exactly on the
     given set.
     """
-    idx = np.asarray(sorted(set(int(i) for i in active_copies)), dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("active set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= instance.q:
-        raise ValueError(f"copy index out of range [0, {instance.q})")
-    counts = np.bincount(instance.copy_group[idx], minlength=len(instance.groups))
+    mask = _copy_mask(instance, active_copies)
+    counts = np.bincount(instance.copy_group[mask], minlength=len(instance.groups))
     lam, x_groups, value = _counts_solve(instance, counts)
-    x = np.zeros(instance.q)
-    x[idx] = x_groups[instance.copy_group[idx]]
+    x = np.where(mask, x_groups[instance.copy_group], 0.0)
     return RestrictedResult(x=x, lam=lam, value=value)
 
 

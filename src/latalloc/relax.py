@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kkt import FILL_UNITS, _zero_price_split
+from .kkt import FILL_UNITS, _copy_mask, _zero_price_split
 from .model import Instance
 
 _TINY = math.ulp(0.0)
@@ -205,21 +205,6 @@ def _solve_classes(kap, b, p, w):
     n = x.size
     obj = float(w[:n] @ (b[:n] * x ** (1.0 + p[:n]) + kap[:n] * x))
     return lam + shift, x, obj
-
-
-def _copy_mask(instance: Instance, indices):
-    """Mask of the copies in ``indices``; raises ValueError on an index out of range."""
-    try:
-        idx = (np.asarray(indices, dtype=np.intp) if isinstance(indices, np.ndarray)
-               else np.fromiter(indices, dtype=np.intp))
-    except OverflowError:
-        raise ValueError(f"copy index too large, out of range [0, {instance.q})") from None
-    if idx.size and not 0 <= idx.min() <= idx.max() < instance.q:
-        bad = idx[(idx < 0) | (idx >= instance.q)][0]
-        raise ValueError(f"copy index {bad} out of range [0, {instance.q})")
-    mask = np.zeros(instance.q, dtype=bool)
-    mask[idx] = True
-    return mask
 
 
 def ordering_algorithm(instance: Instance, kappa, available=None) -> DualResult:

@@ -1,40 +1,38 @@
-"""Primal heuristic: the two walks from the relaxation seed, the prefix seed and their traces."""
+"""Primal heuristic: the two walks from the root relaxation seed, the prefix seed and their traces."""
 
 import numpy as np
 import pytest
 
 from latalloc import generate_base, generate_random, primal_heuristic, solve
 from latalloc import ConstantLatency, Instance, PowerLatency, ResourceGroup
-from latalloc import (Allocation, continuous_relaxation_bound, ordering_algorithm,
-                      partition_reduction)
-from latalloc.heuristic import _dual_seed, _lane, _standalone_prefix_seed, _walk
+from latalloc import Allocation, continuous_relaxation_bound, partition_reduction
+from latalloc import heuristic
+from latalloc.heuristic import _lane, _root_seed, _standalone_prefix_seed, _walk
 from latalloc.kkt import _counts_pricer, _counts_solve, _counts_to_dense
 
 from conftest import make_instance, random_corpus
 
 
 def _relaxation_start(inst):
-    seed = _dual_seed(inst)
+    seed = _root_seed(inst)
     return seed, _counts_pricer(inst)(seed)
 
 
 def _keyed_walk(inst, price, keys, start, accepted_values=None):
-    """``_walk`` with a lane for each of ``keys`` = (removal keys, addition keys)."""
-    removals, additions = keys
-    lanes = {-1: [_lane(-key) for key in removals], +1: [_lane(key) for key in additions]}
-    return _walk(inst, price, lanes, start, accepted_values)
+    """``_walk`` with the lanes of ``keys`` = (removal key, addition key)."""
+    removal, addition = keys
+    return _walk(inst, price, {-1: _lane(-removal), +1: _lane(addition)}, start, accepted_values)
 
 
 def _plain_keys(inst):
     c = inst.group_fixed_costs
-    return (c,), (c,)
+    return c, c
 
 
 def _power_keys(inst):
-    c, b, p = inst.group_fixed_costs, inst.group_b, inst.group_p
-    mixed = c + b ** (1.0 / (p + 1.0))
+    c = inst.group_fixed_costs
     with np.errstate(over="ignore"):
-        return (c + b, mixed, c), (c, mixed)
+        return c + inst.group_b, c
 
 
 def _plain_walk(inst, accepted_values=None):
@@ -57,18 +55,19 @@ def _walk_values(inst):
 
 
 def test_frozen_walk_trace(ladder3):
-    # seed is all three resources at 72/11; dropping c=3 gives 21/5, dropping
-    # c=2 gives 4, and no further move improves
+    # the root perspective loads c=3 and c=1 (1/3 and 2/3), so the seed is
+    # those two at 19/4; dropping c=3 gives 4, and no further move improves
+    assert _root_seed(ladder3).tolist() == [1, 0, 1]
     acc = []
     counts, value = _plain_walk(ladder3, acc)
-    assert acc == pytest.approx([4.2, 4.0], abs=1e-12)
+    assert acc == pytest.approx([4.0], abs=1e-12)
     assert value == pytest.approx(4.0, abs=1e-12)
     assert list(counts) == [0, 0, 1]
     # the full heuristic collects walk after walk, and both walks start at
-    # the seed; the prefix is the optimum, taken as it is
+    # the seed; the prefix (c=3 alone) ties at 4 and comes last
     acc = []
     a = primal_heuristic(ladder3, accepted_values=acc)
-    assert acc == pytest.approx([4.2, 4.0, 4.2, 4.0], abs=1e-12)
+    assert acc == pytest.approx([4.0, 4.0], abs=1e-12)
     assert a.value == pytest.approx(4.0, abs=1e-12)
     assert a.active == frozenset({2})
 
@@ -114,7 +113,7 @@ def test_sandwich_against_exact_and_bound():
 def test_power_walks_reach_singleton_optimum():
     # best solution is the single fastest resource, which the plain walk
     # cannot reach from the cheap-activation seed
-    inst = generate_random(12, seed=1001)
+    inst = generate_random(5, seed=2018)
     alloc, _ = solve(inst)
     assert primal_heuristic(inst).value == pytest.approx(alloc.value, rel=1e-12)
     assert _plain_walk(inst)[1] > alloc.value + 1.0  # the plain key genuinely misses here
@@ -122,8 +121,8 @@ def test_power_walks_reach_singleton_optimum():
 
 @pytest.mark.parametrize("q, seed, optimum, walk", [
     pytest.param(3, 2023, 54.0, 0, id="plain"),
-    pytest.param(9, 2095, 78.5, 1, id="power-from-relaxation"),
-    pytest.param(6, 2026, 104.0, 2, id="prefix"),
+    pytest.param(8, 2176, 41.5, 1, id="power-from-relaxation"),
+    pytest.param(6, 2025, 137.0, 2, id="prefix"),
 ])
 def test_each_walk_is_needed(q, seed, optimum, walk):
     # on each instance exactly one walk, or the prefix seed, reaches the
@@ -136,20 +135,6 @@ def test_each_walk_is_needed(q, seed, optimum, walk):
     assert reached == [w == walk for w in range(3)]
 
 
-def test_mixed_addition_key_is_needed():
-    # here only the power walk from the relaxation seed reaches the
-    # heuristic's value, and only by an addition that the mixed key
-    # c + b**(1/(p+1)) proposes; without that key it stops at 25.74
-    inst = generate_random(30, seed=3125)
-    price, start = _counts_pricer(inst), _relaxation_start(inst)
-    removals, additions = _power_keys(inst)
-    value = _keyed_walk(inst, price, (removals, additions), start)[1]
-    assert value == pytest.approx(23.410554561717, rel=1e-12)
-    assert primal_heuristic(inst).value == pytest.approx(value, rel=1e-12)
-    assert min(v for w, v in enumerate(_walk_values(inst)) if w != 1) > value + 1.0
-    assert _keyed_walk(inst, price, (removals, additions[:1]), start)[1] > value + 2.0
-
-
 def test_constant_family_rejected():
     inst = Instance.from_groups([ResourceGroup(1.0, ConstantLatency(2.0))])
     with pytest.raises(ValueError):
@@ -157,12 +142,11 @@ def test_constant_family_rejected():
 
 
 def _reference_walk(inst, keys, start, price=None):
-    """A walk that masks and argmins every key every round.
+    """A walk that masks and argmins its keys every round.
 
-    ``keys`` = (removal keys, addition keys), each in proposal order.  Each
-    key proposes one group: the largest key among groups with a copy on
-    (removal), the smallest among groups with a copy off (addition), ties to
-    the lowest group; a group proposed twice is tried once.  ``price``
+    ``keys`` = (removal key, addition key).  Each proposes one group: the
+    largest key among groups with a copy on (removal), the smallest among
+    groups with a copy off (addition), ties to the lowest group.  ``price``
     values each trial, by default ``_counts_solve``.  Returns the trial
     counts in order, the accepted values and the endpoint (counts, value).
     """
@@ -175,25 +159,17 @@ def _reference_walk(inst, keys, start, price=None):
     improved = True
     while improved:
         improved = False
-        for step, step_keys in zip((-1, +1), keys):
-            if step < 0 and counts.sum() <= 1:
-                continue
+        for step, key in zip((-1, +1), keys):
             movable = np.flatnonzero(counts > 0 if step < 0 else counts < mult)
-            proposals = []
-            for key in step_keys:
-                if movable.size:
-                    g = int(movable[np.argmin(step * key[movable])])
-                    if g not in proposals:
-                        proposals.append(g)
-            for g in proposals:
-                trial = counts.copy()
-                trial[g] += step
-                trials.append(trial.tolist())
-                v = price(trial)
-                if v < value:
-                    counts, value, improved = trial, v, True
-                    accepted.append(value)
-                    break
+            if (step < 0 and counts.sum() <= 1) or not movable.size:
+                continue
+            trial = counts.copy()
+            trial[movable[np.argmin(step * key[movable])]] += step
+            trials.append(trial.tolist())
+            v = price(trial)
+            if v < value:
+                counts, value, improved = trial, v, True
+                accepted.append(value)
     return trials, accepted, (counts, value)
 
 
@@ -211,8 +187,8 @@ def _walk_trials(inst, keys, start):
 
 
 def _copy_seed(inst):
-    """Counts of the root relaxation support, solved one class per copy by ``ordering_algorithm``."""
-    support = sorted(ordering_algorithm(inst, inst.copy_fixed_cost).support)
+    """Counts of the per-copy support of the root perspective relaxation."""
+    support = sorted(continuous_relaxation_bound(inst).support)
     return np.bincount(inst.copy_group[support], minlength=len(inst.groups))
 
 
@@ -256,23 +232,15 @@ def test_walk_tries_moves_in_reference_order():
 
 
 def test_proposals_are_tried_in_key_order_once():
-    # from (1, 1), c + b proposes the second group (1.31 > 1.25) and the
-    # mixed key the first (1.5 > 1.4): c + b is tried first, whatever the
-    # values; ranking them by value would try the first group
-    inst = make_instance([(1.0, 0.25), (1.3, 0.01)])
-    counts = np.array([1, 1])
-    start = counts, _counts_pricer(inst)(counts)
-    assert _walk_trials(inst, _power_keys(inst), start)[0] == [1, 0]
-    # A's stand-alone cost c + b passes the float range, and A is the
-    # dearest under every removal key: it is removed first and tried once,
-    # and no addition proposes it while B (the cheapest under both addition
-    # keys) has a copy off.  From (0, 2, 0) every key proposes B; the
-    # removal ties the value, so it is rejected, and the next trial is the
-    # addition, not B's removal again
+    # A's stand-alone cost c + b passes the float range, so A is the dearest
+    # removal: it is removed first and tried once, and no addition proposes
+    # it while B (the cheapest fee) has a copy off.  From (0, 2, 0) both
+    # lanes propose B; the removal ties the value, so it is rejected, and the
+    # next trial is the addition, not B's removal again
     inst = make_instance([(1.7e308, 1e307, 2), (1, 2, 3), (5, 0.5, 2)])
     price = _counts_pricer(inst)
     keys = _power_keys(inst)
-    assert keys[0][0][0] == np.inf
+    assert keys[0][0] == np.inf
     counts = np.array([2, 1, 2])
     trials = _walk_trials(inst, keys, (counts, price(counts)))
     assert trials[0] == [1, 1, 2]
@@ -281,6 +249,21 @@ def test_proposals_are_tried_in_key_order_once():
     counts = np.array([0, 2, 0])
     assert price(counts) == price(np.array([0, 1, 0])) == 3.0
     assert _walk_trials(inst, keys, (counts, price(counts))) == [[0, 1, 0], [0, 3, 0]]
+
+
+def test_repeated_endpoint_is_solved_once(ladder3, monkeypatch):
+    # both walks end at c=1 alone and the prefix at c=3 alone, a tie at 4:
+    # two distinct endpoints take two solves, and the first cheapest is kept
+    calls = []
+
+    def counting(inst, counts):
+        calls.append(counts.tolist())
+        return _counts_solve(inst, counts)
+
+    monkeypatch.setattr(heuristic, "_counts_solve", counting)
+    a = primal_heuristic(ladder3)
+    assert calls == [[0, 0, 1], [1, 0, 0]]
+    assert a.active == frozenset({2})
 
 
 def test_class_seed_matches_per_copy_support():
@@ -294,7 +277,7 @@ def test_class_seed_matches_per_copy_support():
     big = make_instance([(1, 2, 3000), (40, 1, 2), (0.5, 90, 3)])
     for inst in [*random_corpus(60, 2, 40, 9800), *random_corpus(20, 3, 30, 9900, exponent=2.0),
                  *_multiplicity_instances(100, 9950), *embeddings, *zero_fees, mixed_fees, big]:
-        assert _dual_seed(inst).tolist() == _copy_seed(inst).tolist()
+        assert _root_seed(inst).tolist() == _copy_seed(inst).tolist()
 
 
 def test_heuristic_matches_reference_bit_for_bit():
@@ -302,10 +285,9 @@ def test_heuristic_matches_reference_bit_for_bit():
     rng = np.random.Generator(np.random.PCG64(9300))
     embeddings = [partition_reduction(rng.integers(1, 20, int(rng.integers(3, 8))).tolist())
                   for _ in range(50)]
-    # the prefix is taken as it is: a power walk from it would reach the
-    # optimum 46.1449 on the last instance, where the heuristic stops at 47
-    prefix_walk_loss = generate_random(43, seed=7215, multiplicity_range=(1, 30), exponent=2.0)
-    for inst in [*_multiplicity_instances(150, 9200), *embeddings, prefix_walk_loss]:
+    # multiplicities up to 30 at p = 2
+    many_copies = generate_random(43, seed=7215, multiplicity_range=(1, 30), exponent=2.0)
+    for inst in [*_multiplicity_instances(150, 9200), *embeddings, many_copies]:
         a, ref = primal_heuristic(inst), _reference_heuristic(inst)
         assert a.value == ref.value
         assert a.x.tobytes() == ref.x.tobytes()
@@ -314,7 +296,7 @@ def test_heuristic_matches_reference_bit_for_bit():
 def _equivalence_cases():
     """(id, instance, extra starts as counts) for the lane walk against ``_reference_walk``."""
     rng = np.random.Generator(np.random.PCG64(9400))
-    # c ties twice, c + b five ways, c + sqrt(b) twice
+    # c ties twice, c + b five ways
     tied = make_instance([(4, 3, 2), (4, 1, 1), (2, 5, 2), (6, 1, 1), (5, 2, 1), (3, 4, 2)])
     yield "tied-keys", tied, [np.array([2, 1, 0, 1, 1, 0])]
     for s in range(8):

@@ -123,6 +123,13 @@ class TestSolveRestricted:
         with pytest.raises(ValueError):
             solve_restricted(ladder3, [])
 
+    def test_copy_index_out_of_range_rejected(self, ladder3):
+        # an index past the intp range raises ValueError, as in the
+        # relaxations, not numpy's OverflowError
+        for bad in ([-1], [0, 3], [2**70]):
+            with pytest.raises(ValueError, match="out of range"):
+                solve_restricted(ladder3, bad)
+
     def test_constant_family_rejected(self):
         inst = Instance.from_groups([
             ResourceGroup(1.0, ConstantLatency(1.0)),
